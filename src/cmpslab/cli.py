@@ -94,7 +94,7 @@ def _write_csv(out_path, fieldnames, rows, resolved, seed, extra_comments=()):
 def _workers(flag):
     if flag is not None:
         return max(1, int(flag))
-    return max(1, int(os.environ.get("CMPSLAB_WORKERS", "1")))
+    return max(1, _resolve({}, "workers", os.environ.get("CMPSLAB_WORKERS"), 1, "int"))
 
 
 @click.group()
@@ -301,6 +301,16 @@ def oracle_suite(seed):
             assert abs(obc_chain_value(4, 1, big_n, 2) / (8 / 5) ** big_n - 1) < 1e-10
             assert abs(obc_chain_value(6, 1, big_n, 3) / (10 / 7) ** big_n - 1) < 1e-10
 
+    def class_sector_vs_full():
+        from .mps import BondProfile
+        from .replica import obc_chain_value, transfer_matrix_site
+        prof = BondProfile(8, 4)
+        v = np.zeros(720)
+        v[0] = 1.0
+        for i in range(1, 9):
+            v = transfer_matrix_site(6, prof[i - 1], prof[i], 3).matrix @ v
+        assert abs(obc_chain_value(6, 4, 8, 3) / np.sum(v) - 1) < 1e-12
+
     def chain_norm():
         from .replica import obc_chain_value
         assert abs(obc_chain_value(4, 8, 12, 2, weight="identity") - 1) < 1e-10
@@ -344,6 +354,7 @@ def oracle_suite(seed):
     check("gram_times_weingarten_identity", gram_times_wg)
     check("chi1_product_law", product_law)
     check("obc_identity_chain_norm", chain_norm)
+    check("replica_class_sector_vs_full", class_sector_vs_full)
     check("clifford_4fold_channel_n1", fourfold_channel)
     check("mps_vs_dense_pauli", mps_vs_dense)
     check("sre_clifford_invariance", sre_clifford_invariance)

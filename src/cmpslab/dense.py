@@ -1,10 +1,11 @@
 """Dense 2^N statevector oracle: exact ground truth for the whole package.
 
 Exact stabilizer Renyi entropies are computed for *all* 4^N Hermitian Pauli
-strings at once with a fast Walsh-Hadamard transform: for fixed X-mask x,
-the Z-mask sweep of <psi| i^{x.z} X^x Z^z |psi> is a Hadamard transform of
-the correlator vector psi*_s psi_{s xor x}, so the full Pauli spectrum costs
-O(4^N N) instead of O(8^N).
+strings at once with a Walsh-Hadamard transform: for fixed X-mask x, the
+Z-mask sweep of <psi| i^{x.z} X^x Z^z |psi> is a Hadamard transform of the
+correlator vector psi*_s psi_{s xor x}. `pauli_spectrum` applies it for all
+x at once as one dense (2^N x 2^N) @ (2^N x 2^N) Hadamard matmul, so the
+full Pauli spectrum costs O(8^N), not the O(4^N N) of a butterfly transform.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ tableau-plus-MPS contraction path is exposed separately for purities
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -87,24 +88,25 @@ def cmps_sampler(n, chi_max):
     return lambda rng: cmps_statevector(sample_cmps(n, chi_max, rng))
 
 
+@functools.cache
 def stab_states_exhaustive(n):
-    """All distinct N <= 2 stabilizer states (up to phase) as a (m, 2^n) array.
+    """All distinct N <= 2 stabilizer states (up to phase) as a read-only (m, 2^n) array.
 
-    Columns U|0...0> over the full Clifford group, deduplicated by phase-fixed
-    rounding: 6 states at N=1, 60 at N=2.
+    Columns U|0...0> over the full Clifford group, phase-fixed so that the
+    first nonzero amplitude is real and positive, and deduplicated on their
+    amplitudes rounded to 9 decimals: 6 states at N=1, 60 at N=2. The
+    returned vectors are the unrounded ones. Built once per n.
     """
-    cols = dense_clifford_group(n)[:, :, 0]
-    fixed = []
-    for v in cols:
-        nz = np.flatnonzero(np.abs(v) > 1e-9)[0]
-        fixed.append(np.round(v * (np.abs(v[nz]) / v[nz]), 9))
     uniq = {}
-    for v in fixed:
-        uniq.setdefault(v.tobytes(), v)
+    for v in dense_clifford_group(n)[:, :, 0]:
+        nz = np.flatnonzero(np.abs(v) > 1e-9)[0]
+        v = v * (np.abs(v[nz]) / v[nz])
+        uniq.setdefault(np.round(v, 9).tobytes(), v)
     out = np.stack(list(uniq.values()))
     expected = {1: 6, 2: 60}[n]
     if len(out) != expected:
         raise RuntimeError(f"found {len(out)} stabilizer states, expected {expected}")
+    out.flags.writeable = False
     return out
 
 
@@ -197,18 +199,6 @@ def purity_fluctuation_mc(sampler, samples, rng, subset_size=None):
         _jackknife_variance_se(purs),
         samples,
         "purity_variance",
-    )
-
-
-def purity_mean_mc(sampler, samples, rng, subset_size=None):
-    purs = np.empty(samples)
-    for i in range(samples):
-        purs[i] = purity(sampler(rng.child(i)), subset_size)
-    return EnsembleEstimate(
-        float(np.mean(purs)),
-        float(np.std(purs, ddof=1) / np.sqrt(samples)),
-        samples,
-        "purity_mean",
     )
 
 

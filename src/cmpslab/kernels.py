@@ -8,7 +8,6 @@ split into independent child streams.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 
 class Rng:
@@ -71,11 +70,3 @@ def svd_truncate(m, chi_max, cutoff=0.0):
         keep = min(keep, max(above, 1))
     discarded = float(np.sum(s[keep:] ** 2))
     return u[:, :keep], s[:keep], vh[:keep, :], discarded
-
-
-def eigenvalues_general(m):
-    """Eigenvalues of a general (non-symmetric) real or complex square matrix."""
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected square matrix, got shape {m.shape}")
-    return scipy.linalg.eigvals(m)

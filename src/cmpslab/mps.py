@@ -96,7 +96,8 @@ def sample_rmps_obc(n, chi_max, rng):
     """Random MPS with open boundaries: per site a Haar unitary of dimension
     2*chi_i, restricted to the chi_{i-1} rows addressed by the zero ancillas
     and reshaped to (chi_{i-1}, 2, chi_i). States come out exactly normalized
-    and right-normalized; chi_max = 2^(N/2) reproduces the Haar ensemble.
+    and right-normalized; chi_max = 2^(N-1) reproduces the Haar ensemble
+    (see BondProfile).
     """
     prof = BondProfile(n, chi_max)
     ts = []
@@ -258,17 +259,18 @@ def save_mps(state, path, seed=None):
 
 
 def load_mps(path):
+    """Read an ``mps-v1`` file; raises ValueError on an unknown format or a
+    body whose byte count does not match the header's bond dimensions."""
     with open(path, "rb") as fh:
         (hlen,) = struct.unpack("<Q", fh.read(8))
         header = json.loads(fh.read(hlen).decode("utf-8"))
         if header.get("format") != "mps-v1":
             raise ValueError(f"unknown format {header.get('format')!r}")
-        n = header["n"]
-        dims = header["bond_dims"]
-        ts = []
-        for i in range(n):
-            count = dims[i] * 2 * dims[i + 1]
-            raw = fh.read(count * 16)
-            t = np.frombuffer(raw, dtype="<c16").astype(complex)
-            ts.append(t.reshape(dims[i], 2, dims[i + 1]))
-    return MpsState(ts)
+        body = fh.read()
+    dims = header["bond_dims"]
+    sizes = [dims[i] * 2 * dims[i + 1] for i in range(header["n"])]
+    if len(body) != 16 * sum(sizes):
+        raise ValueError(f"{path}: expected {16 * sum(sizes)} bytes of site tensors, found {len(body)}")
+    flat = np.frombuffer(body, dtype="<c16").astype(complex)
+    parts = np.split(flat, np.cumsum(sizes)[:-1])
+    return MpsState([t.reshape(dims[i], 2, dims[i + 1]) for i, t in enumerate(parts)])

@@ -112,11 +112,6 @@ class PauliString:
         return f"i^{self.phase_pow}*{body}"
 
 
-def pauli_multiply(a, b):
-    """Product ab with exact phase."""
-    return a * b
-
-
 def hermitian_pauli_from_index(n, x_bits, z_bits):
     """Hermitian Pauli from integer bit masks (bit j = site j)."""
     x = np.array([(x_bits >> j) & 1 for j in range(n)], dtype=np.uint8)

@@ -1,29 +1,37 @@
-"""Permutation replica calculus: Weingarten functions by Gram inversion,
-the Pauli weight g(sigma), bulk and site-dependent transfer matrices, chain
-and trace evaluation, and the closed-form Haar magic averages.
+"""Permutation replica calculus on the conjugacy classes of S_k (k <= 6):
+Weingarten functions, the Pauli weight g(sigma), site and bulk transfer
+matrices, chain and trace evaluation, and the closed-form Haar magic averages.
 
-All S_k data (k <= 6) is built once and cached: the permutation list (identity
-first), the cycle-count matrix C[i, j] = c(sigma_i^-1 sigma_j), and cycle-type
-class labels. Gram matrices are q**C; Weingarten matrices are their inverses,
-or Moore-Penrose pseudo-inverses when q < k (the Gram matrix is singular
-there, and the pseudo-inverse is the correct Weingarten function for small
-dimension). The pseudo-inverse path is exercised by the chi = 1 closed forms.
+The Gram function q^{c(sigma)}, the Weingarten function, the bond factor
+chi^{c(sigma)} and g(sigma) are class functions, and the OBC boundary vectors
+(e_id and all-ones) are conjugation invariant. An operator f(sigma^-1 beta)
+with f a class function acts on class functions as the class matrix
+M[A, B] = sum_{beta in B} f(rho_A^-1 beta), rho_A a representative of class
+A, and products of operators are products of class matrices. So the OBC
+chain and the leading bulk eigenvalue live on the p(k) classes (5 for k=4,
+11 for k=6) instead of the k! permutations.
+
+Class matrices are exact integer and rational object arrays. The Weingarten
+operator is W = G (G^3)^- G for the Gram class matrix G: any solution y of
+G^3 y = G b gives G y = G^+ b, which is G^-1 b when q >= k and the
+Moore-Penrose pseudo-inverse (the Weingarten function at small dimension)
+when q < k. Full k! x k! matrices, needed for periodic spectra, gather exact
+class values over the class-label table.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 
 # ---------------------------------------------------------------- S_k tables
-
-_SK_CACHE = {}
-
 
 def _cycle_lengths(perm):
     k = len(perm)
@@ -42,78 +50,118 @@ def _cycle_lengths(perm):
     return tuple(sorted(out))
 
 
+@functools.cache
 def sk_tables(k):
-    """(perms, index, cycle_count_matrix, cycle_type_of_row0) for S_k.
+    """(perms, index, cycle_count_matrix, class_label_matrix) for S_k.
 
-    cycle_count_matrix[i, j] = number of cycles of perms[i]^-1 perms[j].
+    perms is in itertools order (identity first). class_label_matrix[i, j] is
+    the conjugacy class of perms[i]^-1 perms[j], numbered in sorted order of
+    cycle types (class 0 is the identity), and cycle_count_matrix[i, j] is its
+    number of cycles.
     """
-    if k in _SK_CACHE:
-        return _SK_CACHE[k]
     if k > 6:
         raise ValueError("replica calculus supports k <= 6")
     perms = list(itertools.permutations(range(k)))
     index = {p: i for i, p in enumerate(perms)}
-    nfact = len(perms)
-    inv = []
-    for p in perms:
-        q = [0] * k
-        for a, b in enumerate(p):
-            q[b] = a
-        inv.append(tuple(q))
-    ccount = np.empty((nfact, nfact), dtype=np.int8)
-    types0 = []
-    for i, pi in enumerate(inv):
-        for j, pj in enumerate(perms):
-            comp = tuple(pj[pi[a]] for a in range(k))  # perms[i]^-1 then perms[j]
-            ccount[i, j] = len(_cycle_lengths(comp))
-        types0.append(_cycle_lengths(perms[i]))
-    _SK_CACHE[k] = (perms, index, ccount, types0)
-    return _SK_CACHE[k]
+    types = [_cycle_lengths(p) for p in perms]
+    classes = sorted(set(types))
+    arr = np.array(perms)
+    code = k ** np.arange(k)  # perm -> integer, for a lookup of its class
+    lut = np.empty(k**k, dtype=np.int8)
+    lut[arr @ code] = [classes.index(t) for t in types]
+    # row i composes perms[i]^-1 (one argsort row) and then every perms[j]
+    label = np.stack([lut[arr[:, row] @ code] for row in np.argsort(arr, axis=1)])
+    ncycles = np.array([len(t) for t in classes], dtype=np.int8)
+    return perms, index, ncycles[label], label
 
 
-def cycle_type(perm):
-    return _cycle_lengths(tuple(perm))
+@functools.cache
+def sk_classes(k):
+    """(representatives, sizes) of the conjugacy classes of S_k, in label order."""
+    perms, _, _, label = sk_tables(k)
+    of = label[0].tolist()  # class of each permutation
+    sizes = np.bincount(label[0])
+    return [perms[of.index(a)] for a in range(len(sizes))], sizes
+
+
+def _class_matrix(k, base):
+    """Exact class matrix of base^{c(sigma^-1 beta)}."""
+    _, index, ccount, label = sk_tables(k)
+    reps, _ = sk_classes(k)
+    out = np.zeros((len(reps), len(reps)), dtype=object)
+    for a, rep in enumerate(reps):
+        for b, c in zip(label[0].tolist(), ccount[index[rep]].tolist()):
+            out[a, b] += base**c
+    return out
+
+
+def _solve(a, b):
+    """A solution x of the consistent system a x = b in exact arithmetic,
+    with every free variable set to 0."""
+    n = len(a)
+    rows = [[Fraction(v) for v in row] for row in np.hstack([a, b])]
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        p = next((i for i in range(r, n) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [v / rows[r][c] for v in rows[r]]
+        for i in range(n):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
+        pivots.append(c)
+    if any(any(row[n:]) for row in rows[len(pivots):]):
+        raise ValueError("inconsistent linear system")
+    x = np.zeros((n, b.shape[1]), dtype=object)
+    for r, c in enumerate(pivots):
+        x[c] = rows[r][n:]
+    return x
 
 
 # ------------------------------------------------------------- Weingarten
 
-class WeingartenTable:
-    """W[sigma, pi] = Wg(sigma^-1 pi, q): inverse of the Gram q^{c(.)}."""
+@functools.cache
+def weingarten_sector(k, q):
+    """Exact class matrix of the Weingarten operator W = G (G^3)^- G.
 
-    def __init__(self, k, q, matrix, pseudo):
-        self.k = k
-        self.q = q
-        self.matrix = matrix
-        self.pseudo = pseudo
+    Column 0 holds the Weingarten function itself, Wg(rho_A, q) per class A.
+    """
+    gram = _class_matrix(k, q)
+    w = gram @ _solve(gram @ gram @ gram, gram)
+    w.flags.writeable = False
+    return w
+
+
+@dataclass(frozen=True)
+class WeingartenTable:
+    """Wg(sigma, q) for U(q) and k-fold averages."""
+
+    k: int
+    q: int
 
     def value(self, perm):
         """Wg(perm, q); perm as a tuple in one-line notation."""
-        _, index, _, _ = sk_tables(self.k)
-        return float(self.matrix[0, index[tuple(perm)]])
+        _, index, _, label = sk_tables(self.k)
+        return float(weingarten_sector(self.k, self.q)[label[0, index[tuple(perm)]], 0])
 
 
 def _weingarten_matrix(k, q, allow_pseudo):
-    _, _, ccount, _ = sk_tables(k)
-    gram = float(q) ** ccount.astype(float)
-    if q >= k:
-        return np.linalg.inv(gram), False
-    if not allow_pseudo:
+    """(W, pseudo): the full matrix W[sigma, pi] = Wg(sigma^-1 pi, q), and
+    whether it is the pseudo-inverse of a singular Gram matrix (q < k)."""
+    if q < k and not allow_pseudo:
         raise ValueError(f"Gram matrix singular for q={q} < k={k}")
-    # symmetric pseudo-inverse with explicit thresholding; the Gram spectrum
-    # is cleanly gapped (numerical zeros ~1e-12 vs true eigenvalues >= O(q^k))
-    # and plain np.linalg.pinv mishandles it
-    ev, vec = np.linalg.eigh(gram)
-    keep = np.abs(ev) > 1e-9 * np.max(np.abs(ev))
-    inv = np.where(keep, 1.0 / np.where(keep, ev, 1.0), 0.0)
-    return (vec * inv) @ vec.T, True
+    _, _, _, label = sk_tables(k)
+    return weingarten_sector(k, q)[:, 0].astype(float)[label], q < k
 
 
 def weingarten_table(k, q):
     """Weingarten table for U(q) and k-fold averages. Requires q >= k."""
     if q < k:
         raise ValueError(f"Gram matrix singular for q={q} < k={k}")
-    w, pseudo = _weingarten_matrix(k, q, allow_pseudo=False)
-    return WeingartenTable(k, q, w, pseudo)
+    return WeingartenTable(k, q)
 
 
 # ------------------------------------------------------- transfer matrices
@@ -127,49 +175,56 @@ def pauli_weight_g(perm, n):
 
 
 def _weight_vector(k, n, weight):
-    """Per-site physical-leg weight used inside the transfer matrix.
+    """Per-class physical-leg weight used inside the transfer matrix.
 
     The chain produces d^n E[m_n], so each site carries the bare Pauli
     cycle-trace sum sum_alpha prod_c tr(sigma_alpha^{|c|}) = 2^n g(sigma);
     the 2^-n of g's standalone definition is exactly the per-site share of
     the d^-n in m_n. The identity weight 2^{c(sigma)} keeps only the
-    identity Pauli and turns the chain into the norm average.
+    identity Pauli and turns the chain into the norm average. Both weights
+    are integers.
     """
-    perms, _, _, types0 = sk_tables(k)
+    reps, _ = sk_classes(k)
     if weight == "pauli":
-        out = []
-        for t in types0:
-            c = len(t)
-            even = all(ln % 2 == 0 for ln in t)
-            out.append(2.0**c * (4.0 if even else 1.0))
-        return np.array(out)
+        return np.array([int(2**n * pauli_weight_g(rep, n)) for rep in reps], dtype=object)
     if weight == "identity":
-        return np.array([2.0 ** len(t) for t in types0])
+        return np.array([2 ** len(_cycle_lengths(rep)) for rep in reps], dtype=object)
     raise ValueError(f"unknown weight {weight!r}")
 
 
+@functools.cache
+def transfer_sector(k, chi_in, chi_out, n, weight="pauli"):
+    """Exact class matrix diag(g) W(2 chi_out) M(chi_in) of a site transfer matrix."""
+    t = _weight_vector(k, n, weight)[:, None] * (weingarten_sector(k, 2 * chi_out) @ _class_matrix(k, chi_in))
+    t.flags.writeable = False
+    return t
+
+
+@functools.cache
+def _sector_float(k, chi_in, chi_out, n, weight):
+    return transfer_sector(k, chi_in, chi_out, n, weight).astype(float)
+
+
+@dataclass
 class TransferMatrix:
-    def __init__(self, k, n, chi_in, chi_out, matrix):
-        self.k = k
-        self.n = n
-        self.chi_in = chi_in
-        self.chi_out = chi_out
-        self.q = 2 * chi_out
-        self.matrix = matrix
+    k: int
+    n: int
+    chi_in: int
+    chi_out: int
+    matrix: np.ndarray  # full k! x k!
 
 
 def transfer_matrix_site(k, chi_in, chi_out, n, weight="pauli"):
     """T[sigma, beta] = g(sigma) sum_pi Wg(sigma^-1 pi, 2 chi_out) chi_in^{c(pi^-1 beta)}.
 
-    chi_in = chi_out gives the site-independent bulk matrix. Sites with
-    2 chi_out < k use the Gram pseudo-inverse.
+    chi_in = chi_out gives the site-independent bulk matrix. The sum over pi
+    is a class function h(sigma^-1 beta), whose class values are column 0 of
+    the class sector with g divided out.
     """
-    _, _, ccount, _ = sk_tables(k)
-    q = 2 * chi_out
-    w, _ = _weingarten_matrix(k, q, allow_pseudo=True)
-    cmat = float(chi_in) ** ccount.astype(float)
-    g = _weight_vector(k, n, weight)
-    return TransferMatrix(k, n, chi_in, chi_out, (g[:, None] * w) @ cmat)
+    _, _, _, label = sk_tables(k)
+    g = _weight_vector(k, n, weight).astype(float)
+    h = _sector_float(k, chi_in, chi_out, n, weight)[:, 0] / g
+    return TransferMatrix(k, n, chi_in, chi_out, g[label[0]][:, None] * h[label])
 
 
 @dataclass
@@ -201,97 +256,42 @@ def pbc_trace(k, chi, n_sites, n=None, weight="pauli"):
     return float(val.real)
 
 
-def _lu_factor_ld(a):
-    """Partial-pivot LU in extended precision (no LAPACK for longdouble)."""
-    a = a.astype(np.longdouble).copy()
-    m = a.shape[0]
-    piv = np.arange(m)
-    for j in range(m):
-        p = j + int(np.argmax(np.abs(a[j:, j])))
-        if p != j:
-            a[[j, p]] = a[[p, j]]
-            piv[[j, p]] = piv[[p, j]]
-        a[j + 1 :, j] /= a[j, j]
-        a[j + 1 :, j + 1 :] -= np.outer(a[j + 1 :, j], a[j, j + 1 :])
-    return a, piv
-
-
-def _lu_solve_ld(lu, piv, b):
-    x = b[piv].astype(np.longdouble)
-    m = lu.shape[0]
-    for j in range(m - 1):
-        x[j + 1 :] -= lu[j + 1 :, j] * x[j]
-    for j in range(m - 1, -1, -1):
-        x[j] /= lu[j, j]
-        if j:
-            x[:j] -= lu[:j, j] * x[j]
-    return x
-
-
-_LD_LU_CACHE = {}
-
-
+@functools.cache
 def leading_eigenvalue(k, chi, n, precise=False):
-    """Largest bulk transfer-matrix eigenvalue.
+    """Largest bulk transfer-matrix eigenvalue, from the exact class sector.
 
-    The precise path runs two-sided power iteration in extended precision on
-    T = diag(g) G^-1 C (solving with a cached longdouble LU of the Gram
-    matrix instead of inverting); double precision loses lambda_1 - 1 to
-    eigensolver noise once it drops below ~1e-12 (k=6 at chi >= 64).
+    Returned as the Fraction 1 + x, where the double x = lambda_1 - 1 keeps
+    the digits that double-precision eigensolvers lose once it drops below
+    ~1e-12 (k=6 at chi >= 64). Newton's method on det(T - (1 + x) I), with
+    the step 1 / tr((T - (1 + x) I)^-1) evaluated exactly, starts from the
+    double-precision sector spectrum and stops once the step is within two
+    units in the last place of x. `precise` is accepted and ignored.
     """
-    if not precise:
-        return float(transfer_spectrum(k, chi, n).eigenvalues[0].real)
-    _, _, ccount, _ = sk_tables(k)
-    q = 2 * chi
-    if q < k:
-        raise ValueError("precise path needs an invertible Gram (q >= k)")
-    key = (k, q)
-    if key not in _LD_LU_CACHE:
-        _LD_LU_CACHE[key] = _lu_factor_ld(np.longdouble(q) ** ccount)
-    lu, piv = _LD_LU_CACHE[key]
-    cmat = np.longdouble(chi) ** ccount
-    g = _weight_vector(k, n, "pauli").astype(np.longdouble)
-
-    def tmul(x):
-        return g * _lu_solve_ld(lu, piv, cmat @ x)
-
-    # left vector needs T^T = C^T G^-1 diag(g); G is symmetric so the same
-    # LU works with the solve applied before the C^T contraction
-    def tmul_left(x):
-        return cmat.T @ _lu_solve_ld(lu, piv, g * x)
-
-    v = np.ones(cmat.shape[0], dtype=np.longdouble)
-    w = np.ones(cmat.shape[0], dtype=np.longdouble)
-    for _ in range(80):
-        v = tmul(v)
-        v /= np.max(np.abs(v))
-        w = tmul_left(w)
-        w /= np.max(np.abs(w))
-    return (w @ tmul(v)) / (w @ v)
+    t = transfer_sector(k, chi, chi, n)
+    eye = np.eye(len(t), dtype=int).astype(object)
+    x = float(np.max(np.linalg.eigvals(t.astype(float)).real)) - 1.0
+    for _ in range(50):
+        step = float(1 / np.trace(_solve(t - (1 + Fraction(x)) * eye, eye)))
+        x += step
+        if abs(step) <= 2 * math.ulp(x):
+            return 1 + Fraction(x)
+    raise RuntimeError(f"lambda_1 for k={k}, chi={chi}: Newton did not converge, last step {step:.3e}")
 
 
 def pbc_delta(n_sites, chi, n):
     """delta^(n) for the periodic chain: Tr[T^N] - d^n E_Haar[m_n].
 
-    k=6 uses the extended-precision leading eigenvalue; the subleading
-    spectrum (limits <= 1/2) is fine in double precision.
+    lambda_1^N - 1 comes from the exact leading eigenvalue, the rest of the
+    spectrum in double precision.
     """
     k = 2 * n
-    d = 2.0**n_sites if n_sites < 1000 else math.inf
-    if n == 2:
-        haar_m1 = 3.0 - 12.0 / (d + 3) if math.isfinite(d) else 3.0
-    elif n == 3:
-        haar_m1 = 15 * (d - 1) / ((3 + d) * (5 + d)) if math.isfinite(d) else 0.0
-    else:
-        raise ValueError(f"closed form available for n in {{2, 3}}, got {n}")
     lam = transfer_spectrum(k, chi, n).eigenvalues
-    if k == 6 and 2 * chi >= k:
-        lam1 = leading_eigenvalue(k, chi, n, precise=True)
-        rest = complex(np.sum(lam[1:] ** n_sites)).real
-        top = np.expm1(n_sites * np.log1p(lam1 - 1))  # lambda_1^N - 1 exactly
-        return float(top + rest - haar_m1)
-    total = complex(np.sum(lam**n_sites)).real
-    return float(total - 1.0 - haar_m1)
+    x = leading_eigenvalue(k, chi, n) - 1
+    if abs(lam[0] - (1 + float(x))) > 1e-9:
+        raise RuntimeError(f"double-precision lambda_1 {lam[0]} differs from the exact 1 + {float(x)}")
+    top = math.expm1(n_sites * math.log1p(x))  # lambda_1^N - 1
+    rest = complex(np.sum(lam[1:] ** n_sites)).real
+    return float(top + rest - (haar_magic_scaled(2**n_sites, n) - 1))
 
 
 def obc_chain_value(k, chi_max, n_sites, n=None, weight="pauli"):
@@ -299,35 +299,24 @@ def obc_chain_value(k, chi_max, n_sites, n=None, weight="pauli"):
 
     Evaluated as u^T T^(N) ... T^(1) e_id with site i using
     (q_i = 2 chi_i, chi_in = chi_{i-1}) on the staircase bond profile;
-    u is all-ones, e_id the unit vector on the identity permutation.
+    u is all-ones, e_id the unit vector on the identity permutation. Both
+    are class functions, so the chain runs on the class sector, where u
+    becomes the vector of class sizes.
     """
     from .mps import BondProfile
 
     if n is None:
         n = k // 2
     prof = BondProfile(n_sites, chi_max)
-    nfact = math.factorial(k)
-    v = np.zeros(nfact)
-    v[0] = 1.0  # identity is first in itertools order
-    cache = {}
+    _, sizes = sk_classes(k)
+    v = np.zeros(len(sizes))
+    v[0] = 1.0  # identity class
     for i in range(1, n_sites + 1):
-        key = (prof[i - 1], prof[i])
-        if key not in cache:
-            cache[key] = transfer_matrix_site(k, prof[i - 1], prof[i], n, weight).matrix
-        v = cache[key] @ v
-    return float(np.sum(v))
+        v = _sector_float(k, prof[i - 1], prof[i], n, weight) @ v
+    return float(sizes @ v)
 
 
 # ------------------------------------------------------------ closed forms
-
-def haar_magic_closed_form(d, n):
-    """E_Haar[m_n] for n in {2, 3}."""
-    if n == 2:
-        return (1 + 3 * (d - 1) / (d + 3)) / d**2
-    if n == 3:
-        return (1 + 15 * (d - 1) / ((3 + d) * (5 + d))) / d**3
-    raise ValueError(f"closed form available for n in {{2, 3}}, got {n}")
-
 
 def haar_magic_scaled(d, n):
     """d^n E_Haar[m_n], in a form stable for astronomically large d."""
@@ -339,6 +328,11 @@ def haar_magic_scaled(d, n):
             return 1.0
         return 1 + 15 * (d - 1) / ((3 + d) * (5 + d))
     raise ValueError(f"closed form available for n in {{2, 3}}, got {n}")
+
+
+def haar_magic_closed_form(d, n):
+    """E_Haar[m_n] for n in {2, 3}."""
+    return haar_magic_scaled(d, n) / d**n
 
 
 @dataclass
@@ -395,7 +389,7 @@ def fit_power_law(points, noise_floor=None, exponent=None):
     xs, ys = [], []
     for chi, delta in points:
         if delta <= 0 or (noise_floor is not None and delta < noise_floor):
-            warnings.warn(f"excluding point (chi={chi}, delta={delta:g}) from power-law fit")
+            warnings.warn(f"excluding point (chi={chi}, delta={float(delta):g}) from power-law fit")
             continue
         xs.append(math.log(chi))
         ys.append(math.log(delta))
@@ -418,15 +412,10 @@ def symmetric_projector_pauli_trace(d, sigma_is_identity, k=4):
     Uses the cycle expansion (1/k!) sum_pi prod_cycles Tr[sigma^{|c|}], with
     Tr[sigma^m] = d for the identity and d * [m even] for traceless sigma.
     """
-    perms, _, _, types0 = sk_tables(k)
+    reps, sizes = sk_classes(k)
     total = 0.0
-    for t in types0:
-        term = 1.0
-        for ln in t:
-            if sigma_is_identity or ln % 2 == 0:
-                term *= d
-            else:
-                term = 0.0
-                break
-        total += term
+    for rep, size in zip(reps, sizes):
+        lengths = _cycle_lengths(rep)
+        if sigma_is_identity or all(ln % 2 == 0 for ln in lengths):
+            total += size * float(d) ** len(lengths)
     return total / math.factorial(k)

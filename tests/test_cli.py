@@ -14,7 +14,7 @@ def runner():
 def test_oracle_suite_passes(runner):
     result = runner.invoke(main, ["oracle-suite"])
     assert result.exit_code == 0, result.output
-    assert "all 7 oracle checks passed" in result.output
+    assert "all 8 oracle checks passed" in result.output
 
 
 def test_magic_scan_csv(runner, tmp_path):
@@ -103,3 +103,17 @@ def test_brickwork_trajectory_floor(runner):
     assert result.exit_code != 0
     payload = json.loads(result.output.split("Error: ", 1)[1])
     assert payload["field"] == "trajectories"
+
+
+def test_bad_workers_env_is_machine_readable(runner):
+    result = runner.invoke(
+        main, ["cooling", "--n-list", "4", "--vt-grid", "0", "--trajectories", "1", "--out", "-"],
+        env={"CMPSLAB_WORKERS": "two"},
+    )
+    assert result.exit_code != 0
+    assert "Traceback" not in result.output
+    line = result.output.split("Error: ", 1)[1]
+    assert line.count("\n") == 1
+    payload = json.loads(line)
+    assert payload["error"] == "config_field"
+    assert payload["field"] == "workers"

@@ -46,6 +46,14 @@ def test_stab_frame_potentials_exact():
         )
 
 
+def test_stab_frame_potentials_match_haar_to_rounding():
+    # the states are built once and kept unrounded, so the 3-design identity
+    # holds to double precision
+    assert stab_states_exhaustive(2) is stab_states_exhaustive(2)
+    for k in (1, 2, 3):
+        assert abs(frame_potential_exact_stab(2, k) - haar_frame_potential(4, k)) < 1e-14
+
+
 def test_haar_frame_potential_mc():
     est = frame_potential_mc(haar_sampler(2), 4, 2500, Rng(1))
     assert abs(est.mean - 1 / 35) < 4 * est.std_error

@@ -145,3 +145,14 @@ def test_load_rejects_unknown_format(tmp_path):
     path.write_bytes(struct.pack("<Q", len(blob)) + blob)
     with pytest.raises(ValueError):
         load_mps(path)
+
+
+def test_load_reports_truncated_body(tmp_path):
+    st = sample_rmps_obc(4, 2, Rng(3))
+    path = tmp_path / "state.mps"
+    save_mps(st, path)
+    data = path.read_bytes()
+    path.write_bytes(data[:-40])
+    body = 16 * sum(t.size for t in st.tensors)
+    with pytest.raises(ValueError, match=f"expected {body} bytes.*found {body - 40}"):
+        load_mps(path)

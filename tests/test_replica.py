@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from cmpslab.kernels import Rng
+from cmpslab.mps import BondProfile
 from cmpslab.replica import (
     delta_chi,
     fit_power_law,
@@ -14,6 +17,8 @@ from cmpslab.replica import (
     pbc_trace,
     sk_tables,
     symmetric_projector_pauli_trace,
+    transfer_matrix_site,
+    transfer_sector,
     transfer_spectrum,
     weingarten_table,
     _weingarten_matrix,
@@ -134,6 +139,10 @@ def test_fit_power_law_excludes_nonpositive():
     with pytest.warns(UserWarning):
         fit = fit_power_law([(2, 16.0), (4, 4.0), (8, 1.0), (16, -0.001)])
     assert fit.exponent == pytest.approx(-2.0, abs=1e-12)
+    # leading_eigenvalue(...) - 1 is a Fraction; excluding one must still warn
+    with pytest.warns(UserWarning):
+        fit = fit_power_law([(2, Fraction(16)), (4, Fraction(4)), (8, Fraction(1)), (16, Fraction(0))])
+    assert fit.exponent == pytest.approx(-2.0, abs=1e-12)
 
 
 def test_k6_leading_eigenvalue_precise_path():
@@ -141,3 +150,55 @@ def test_k6_leading_eigenvalue_precise_path():
     tight = leading_eigenvalue(6, 8, 3, precise=True)
     assert tight - 1 > 0
     assert loose == pytest.approx(tight, rel=1e-6)
+
+
+@pytest.mark.parametrize("k", [4, 6])
+@pytest.mark.parametrize("chi,n_sites", [(1, 8), (2, 10), (8, 64)])
+def test_class_sector_chain_matches_full_product(k, chi, n_sites):
+    prof = BondProfile(n_sites, chi)
+    v = np.zeros(len(sk_tables(k)[0]))
+    v[0] = 1.0
+    for i in range(1, n_sites + 1):
+        v = transfer_matrix_site(k, prof[i - 1], prof[i], k // 2).matrix @ v
+    assert obc_chain_value(k, chi, n_sites) == pytest.approx(np.sum(v), rel=1e-12)
+
+
+@pytest.mark.parametrize("k,q", [(6, 2), (6, 4), (4, 2)])
+def test_pseudo_inverse_is_reflexive(k, q):
+    # Moore-Penrose: W G W = W as well as G W G = G
+    _, _, ccount, _ = sk_tables(k)
+    gram = float(q) ** ccount.astype(float)
+    w, pseudo = _weingarten_matrix(k, q, allow_pseudo=True)
+    assert pseudo
+    assert np.max(np.abs(w @ gram @ w - w)) < 1e-12 * np.max(np.abs(w))
+    assert np.max(np.abs(gram @ w @ gram - gram)) < 1e-12 * np.max(np.abs(gram))
+    assert np.array_equal(w, w.T)
+
+
+def _fraction_det(rows):
+    rows = [list(r) for r in rows]
+    det = Fraction(1)
+    for c in range(len(rows)):
+        p = next(i for i in range(c, len(rows)) if rows[i][c] != 0)
+        if p != c:
+            rows[c], rows[p] = rows[p], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for i in range(c + 1, len(rows)):
+            f = rows[i][c] / rows[c][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    return det
+
+
+@pytest.mark.parametrize("chi", [64, 256])
+def test_k6_leading_eigenvalue_exact_bracket(chi):
+    t = transfer_sector(6, chi, chi, 3)
+    x = leading_eigenvalue(6, chi, 3) - 1
+    assert 0 < x < 1e-9
+
+    def char(lam):
+        return _fraction_det([[v - lam * (a == b) for b, v in enumerate(row)] for a, row in enumerate(t)])
+
+    lo = char(1 + x * (1 - Fraction(1, 10**9)))
+    hi = char(1 + x * (1 + Fraction(1, 10**9)))
+    assert lo * hi < 0
