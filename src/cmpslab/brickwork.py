@@ -9,13 +9,12 @@ scan below measures the plateau values.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import MAX_SRE_QUBITS, exact_sre
-from .kernels import haar_unitary
+from .dense import MAX_SRE_QUBITS, pauli_spectrum, sre_from_spectrum
+from .kernels import haar_unitary, indexed_map
 from .mps import MpsState, apply_two_qubit_gate, entanglement_profile
 from .replica import haar_magic_scaled
 
@@ -41,21 +40,23 @@ class TrajectoryRecord:
 
 def brickwork_trajectory(n, chi_max, steps, rng):
     """Evolve |0...0> for `steps` alternating layers, recording exact SRE
-    (dense contraction, so N <= 10) and the max bond entropy after each."""
+    (dense contraction, so N <= 10) and the max bond entropy after each.
+    One Pauli spectrum per step serves both m_2 and m_3."""
     if n > MAX_SRE_QUBITS:
         raise ValueError(f"exact SRE tracking limited to N <= {MAX_SRE_QUBITS}")
     state = MpsState.product_state([(1.0, 0.0)] * n)
     rec = TrajectoryRecord(n, chi_max, [], [], [])
-    psi = state.to_statevector()
-    rec.m2.append(exact_sre(psi, 2)[0])
-    rec.m3.append(exact_sre(psi, 3)[0])
-    rec.max_entropy.append(0.0)
+
+    def record(state, max_entropy):
+        spec = pauli_spectrum(state.to_statevector())
+        rec.m2.append(sre_from_spectrum(spec, 2)[0])
+        rec.m3.append(sre_from_spectrum(spec, 3)[0])
+        rec.max_entropy.append(max_entropy)
+
+    record(state, 0.0)
     for t in range(steps):
         state, _ = brickwork_layer(state, chi_max, t % 2, rng)
-        psi = state.to_statevector()
-        rec.m2.append(exact_sre(psi, 2)[0])
-        rec.m3.append(exact_sre(psi, 3)[0])
-        rec.max_entropy.append(entanglement_profile(state).max_entropy)
+        record(state, entanglement_profile(state).max_entropy)
     return rec
 
 
@@ -65,8 +66,8 @@ def brickwork_scan(n, chi_list, steps, trajectories, rng, plateau_window=None, w
     Returns a list of row dicts (t, chi, n, delta, se, max_entropy) plus a
     plateau summary per chi: delta averaged over the last `plateau_window`
     steps (default: last quarter of the evolution). Trajectories run on
-    `workers` threads with per-trajectory child rngs and indexed write-back,
-    so results are independent of the thread count.
+    `workers` threads with per-trajectory child rngs, collected in index
+    order, so results are independent of the thread count.
     """
     if plateau_window is None:
         plateau_window = max(1, steps // 4)
@@ -76,21 +77,10 @@ def brickwork_scan(n, chi_list, steps, trajectories, rng, plateau_window=None, w
     rows, plateaus = [], []
     for ci, chi in enumerate(chi_list):
         base = rng.child(ci)
-        m2 = np.empty((trajectories, steps + 1))
-        m3 = np.empty((trajectories, steps + 1))
-        ent = np.empty((trajectories, steps + 1))
-        def run(traj, chi=chi, base=base):
-            rec = brickwork_trajectory(n, chi, steps, base.child(traj))
-            m2[traj] = rec.m2
-            m3[traj] = rec.m3
-            ent[traj] = rec.max_entropy
-
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(run, range(trajectories)))
-        else:
-            for traj in range(trajectories):
-                run(traj)
+        recs = indexed_map(lambda traj: brickwork_trajectory(n, chi, steps, base.child(traj)), trajectories, workers)
+        m2 = np.array([rec.m2 for rec in recs])
+        m3 = np.array([rec.m3 for rec in recs])
+        ent = np.array([rec.max_entropy for rec in recs])
         d2 = d**2 * m2 - haar2
         d3 = d**3 * m3 - haar3
         for t in range(steps + 1):

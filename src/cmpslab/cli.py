@@ -254,7 +254,7 @@ def design_audit(config_path, out, seed, workers, n_qubits, chi_list, pairs):
 @click.option("--trajectories", type=int, default=None)
 @click.option("--v", "velocity", type=int, default=None, help="Layers per T insertion.")
 def cooling_cmd(config_path, out, seed, workers, n_list, vt_grid, trajectories, velocity):
-    """T-doped circuit states cooled by brute-force Clifford search."""
+    """T-doped circuit states cooled by greedy two-qubit Clifford search."""
     from .cooling import cooling_scan
 
     cfg = _load_config(config_path)

@@ -1,16 +1,18 @@
 """Entanglement cooling: T-doped random Clifford benchmark states and the
-greedy brute-force disentangler that sweeps bonds with the full two-qubit
-Clifford group.
+greedy disentangler that sweeps bonds with two-qubit Clifford gates.
 
-Dense statevectors throughout (N <= 12); contiguous-cut entropies come from
-exact Schmidt spectra. The 11520-candidate search at a bond is batched: one
-einsum builds all candidate cut matrices, a stacked eigvalsh on the small
-side of the cut (dimension <= 2^(N/2)) yields all entropies at once.
+No cut's entropy changes under single-qubit gates applied after the
+two-qubit gate, so the search at a bond only needs one gate per coset
+(C1 x C1) g of the 576 local Cliffords in the 11520-element two-qubit group:
+20 candidates in all (1 + 9 + 9 + 1 in the local, CNOT-, iSWAP- and
+SWAP-like classes). Dense statevectors throughout (N <= 12); the 20 cut
+matrices at a bond come from one einsum, and a stacked eigvalsh on the
+small side of the cut (dimension <= 2^(N/2)) yields all entropies at once.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,8 +25,8 @@ from .dense import (
     num_qubits,
     zero_state,
 )
-from .kernels import Rng
-from .tableau import enumerate_clifford_group
+from .kernels import Rng, indexed_map
+from .tableau import tableau_from_circuit, tableau_to_dense
 
 _T_GATE = np.diag([1.0, np.exp(1j * np.pi / 4)])
 
@@ -99,32 +101,52 @@ def _max_cut_entropy(psi):
     return max(entanglement_entropy(psi, c) for c in range(1, n))
 
 
-_DENSE_WORDS = None
+# One circuit per coset (C1 x C1) g of the two-qubit Clifford group, gates
+# first-applied first: the first member of each coset in the order of
+# enumerate_clifford_group(2), whose indices are 0, 5, 6, 10, 11, 20, 23, 28,
+# 32, 44, 49, 53, 58, 83, 102, 116, 177, 219, 252 and 784. Identity first.
+COSET_CIRCUITS = (
+    (),
+    (("CNOT", (0, 1)),),
+    (("CNOT", (1, 0)),),
+    (("H", (0,)), ("CNOT", (0, 1))),
+    (("H", (0,)), ("CNOT", (1, 0))),
+    (("S", (0,)), ("CNOT", (1, 0))),
+    (("S", (1,)), ("CNOT", (0, 1))),
+    (("CNOT", (0, 1)), ("CNOT", (1, 0))),
+    (("CNOT", (1, 0)), ("CNOT", (0, 1))),
+    (("H", (0,)), ("S", (1,)), ("CNOT", (0, 1))),
+    (("H", (0,)), ("CNOT", (0, 1)), ("CNOT", (1, 0))),
+    (("H", (0,)), ("CNOT", (1, 0)), ("CNOT", (0, 1))),
+    (("H", (1,)), ("S", (0,)), ("CNOT", (1, 0))),
+    (("S", (0,)), ("CNOT", (0, 1)), ("CNOT", (1, 0))),
+    (("S", (1,)), ("CNOT", (1, 0)), ("CNOT", (0, 1))),
+    (("CNOT", (0, 1)), ("CNOT", (1, 0)), ("CNOT", (0, 1))),
+    (("H", (0,)), ("S", (1,)), ("CNOT", (1, 0)), ("CNOT", (0, 1))),
+    (("H", (1,)), ("S", (0,)), ("CNOT", (0, 1)), ("CNOT", (1, 0))),
+    (("S", (0,)), ("H", (0,)), ("S", (1,)), ("CNOT", (0, 1))),
+    (("S", (0,)), ("H", (0,)), ("S", (1,)), ("CNOT", (1, 0)), ("CNOT", (0, 1))),
+)
 
 
-def _group_arrays():
-    """(stacked 11520 dense gates, matching generator words), identity first."""
-    global _DENSE_WORDS
-    if _DENSE_WORDS is None:
-        tabs = enumerate_clifford_group(2)
-        _DENSE_WORDS = [t.word for t in tabs]
-        assert _DENSE_WORDS[0] == []  # identity heads the enumeration
-    return dense_clifford_group(2), _DENSE_WORDS
+@functools.cache
+def _coset_gates():
+    """Dense unitaries of COSET_CIRCUITS, stacked."""
+    return np.stack([tableau_to_dense(tableau_from_circuit(c, 2)) for c in COSET_CIRCUITS])
 
 
 def _candidate_entropies(psi, bond):
-    """Entropy across cut bond+1 for every two-qubit Clifford on (bond, bond+1).
+    """Entropy across cut bond+1 for each COSET_CIRCUITS gate on (bond, bond+1).
 
-    Returns a float array over the group enumeration order. Works on the
-    smaller side of the cut so the stacked eigenproblem stays <= 2^(N/2).
+    Returns a float array in table order. Works on the smaller side of the
+    cut so the stacked eigenproblem stays <= 2^(N/2).
     """
     n = num_qubits(psi)
-    group, _ = _group_arrays()
     a_dim = 1 << bond
     b_dim = 1 << (n - bond - 2)
     theta = psi.reshape(a_dim, 4, b_dim)
     # all candidates at once: K[g, (a u), (v b)]
-    k = np.einsum("gxy,ayb->gaxb", group, theta).reshape(-1, 2 * a_dim, 2 * b_dim)
+    k = np.einsum("gxy,ayb->gaxb", _coset_gates(), theta).reshape(-1, 2 * a_dim, 2 * b_dim)
     if 2 * a_dim <= 2 * b_dim:
         m = k @ k.conj().transpose(0, 2, 1)
     else:
@@ -134,15 +156,17 @@ def _candidate_entropies(psi, bond):
     return -np.sum(lam * np.log(lam), axis=-1)
 
 
-def cool(state, sweeps=None, rng=None, objective="cut"):
-    """Greedy entanglement cooling by exhaustive two-qubit Clifford search.
+def cool(state, sweeps=None, objective="cut"):
+    """Greedy entanglement cooling by two-qubit Clifford search.
 
-    Sweeps bonds left to right; at bond i the gate minimizing the entropy of
-    the [0..i] | [i+1..N-1] cut is kept (objective="cut"), or the max over
-    all cuts (objective="max"). Ties go to the lowest enumeration index, so
-    the identity wins when nothing improves. Stops early once the state is a
-    product state or a sweep changes nothing. `rng` is accepted for interface
-    symmetry; the search is deterministic.
+    Sweeps bonds left to right; at bond i it tries one gate per coset
+    (C1 x C1) g of the two-qubit Clifford group (COSET_CIRCUITS, 20 gates),
+    which reaches every entropy the whole group reaches, and keeps the gate
+    minimizing the entropy of the [0..i] | [i+1..N-1] cut (objective="cut")
+    or the max over all cuts (objective="max"). The gate kept is the lowest
+    table entry within 1e-12 of the minimum, so float noise does not pick
+    among ties, and the identity stays when nothing improves. Stops early
+    once the state is a product state or a sweep changes nothing.
     """
     psi = np.array(state, dtype=complex)
     n = num_qubits(psi)
@@ -152,7 +176,7 @@ def cool(state, sweeps=None, rng=None, objective="cut"):
         raise ValueError(f"unknown objective {objective!r}")
     if sweeps is None:
         sweeps = n
-    group, words = _group_arrays()
+    gates = _coset_gates()
     input_max = _max_cut_entropy(psi)
     trace = [input_max]
     circuit = []
@@ -168,18 +192,13 @@ def cool(state, sweeps=None, rng=None, objective="cut"):
                     default=0.0,
                 )
                 ents = np.maximum(ents, others)
-            idx = int(np.argmin(ents))
-            if ents[0] <= ents[idx] + 1e-12:
-                idx = 0  # no real improvement: leave the bond untouched
+            idx = int(np.flatnonzero(ents <= ents.min() + 1e-12)[0])
             if idx == 0:
-                continue
+                continue  # no real improvement: leave the bond untouched
             current = entanglement_entropy(psi, bond + 1) if objective == "cut" else trace[-1]
             assert ents[idx] <= current + 1e-9, "accepted move increased the objective"
-            psi = apply_gate(psi, group[idx], (bond, bond + 1))
-            # stored words are in matrix-product order; emit first-applied-first
-            circuit.extend(
-                (name, [bond + q for q in qubits]) for name, qubits in reversed(words[idx])
-            )
+            psi = apply_gate(psi, gates[idx], (bond, bond + 1))
+            circuit.extend((name, [bond + q for q in qubits]) for name, qubits in COSET_CIRCUITS[idx])
             moved = True
         sweeps_run += 1
         trace.append(_max_cut_entropy(psi))
@@ -208,23 +227,15 @@ def cooling_scan(n_list, vt_over_n_grid, trajectories, rng, v=1, sweeps=None, wo
     for n in n_list:
         for g, vt in enumerate(vt_over_n_grid):
             t_count = int(round(vt * n / v))
-            ins = np.empty(trajectories)
-            outs = np.empty(trajectories)
             base = rng.child(1000 * n + g)
-
-            def run(traj, n=n, t_count=t_count, base=base):
-                spec = DopedCircuitSpec(n=n, v=v, t_count=t_count)
-                psi = build_doped_state(spec, base.child(traj))
-                rep = cool(psi, sweeps=sweeps)
-                ins[traj] = rep.input_sn
-                outs[traj] = rep.final_sn
-
-            if workers > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    list(pool.map(run, range(trajectories)))
-            else:
-                for traj in range(trajectories):
-                    run(traj)
+            spec = DopedCircuitSpec(n=n, v=v, t_count=t_count)
+            reps = indexed_map(
+                lambda traj: cool(build_doped_state(spec, base.child(traj)), sweeps=sweeps),
+                trajectories,
+                workers,
+            )
+            ins = np.array([rep.input_sn for rep in reps])
+            outs = np.array([rep.final_sn for rep in reps])
             rows.append(
                 {
                     "n": n,

@@ -94,12 +94,16 @@ def exact_sre(psi, n_index):
     m_n = d^{-n} sum_sigma <sigma>^{2n} over all Hermitian Pauli strings,
     M_n = log(m_n)/(1-n) - log d.
     """
+    return sre_from_spectrum(pauli_spectrum(psi), n_index)
+
+
+def sre_from_spectrum(spectrum, n_index):
+    """(m_n, M_n) of `exact_sre` from a ready `pauli_spectrum`, so that one
+    spectrum serves several Renyi indices."""
     if n_index < 2:
         raise ValueError("Renyi index must be >= 2")
-    n = num_qubits(psi)
-    d = 1 << n
-    e = pauli_spectrum(psi)
-    m_n = float(np.sum(e ** (2 * n_index))) / d**n_index
+    d = len(spectrum)
+    m_n = float(np.sum(spectrum ** (2 * n_index))) / d**n_index
     big_m = np.log(m_n) / (1 - n_index) - np.log(d)
     return m_n, big_m
 

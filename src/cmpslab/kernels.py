@@ -7,6 +7,8 @@ split into independent child streams.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
 
@@ -70,3 +72,15 @@ def svd_truncate(m, chi_max, cutoff=0.0):
         keep = min(keep, max(above, 1))
     discarded = float(np.sum(s[keep:] ** 2))
     return u[:, :keep], s[:keep], vh[:keep, :], discarded
+
+
+def indexed_map(fn, count, workers=1):
+    """[fn(0), ..., fn(count - 1)], on `workers` threads when workers > 1.
+
+    Results come back in index order, so with per-index random streams
+    (``rng.child(i)``) they do not depend on the thread count.
+    """
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, range(count)))
+    return [fn(i) for i in range(count)]

@@ -227,24 +227,30 @@ def transfer_matrix_site(k, chi_in, chi_out, n, weight="pauli"):
     return TransferMatrix(k, n, chi_in, chi_out, g[label[0]][:, None] * h[label])
 
 
-@dataclass
+@dataclass(frozen=True)
 class SpectrumResult:
-    eigenvalues: np.ndarray  # sorted descending by real part
-    leading: list  # indices in the leading cluster
+    eigenvalues: np.ndarray  # sorted descending by real part, read-only
+    leading: tuple  # indices in the leading cluster
 
 
+@functools.cache
 def transfer_spectrum(k, chi, n, weight="pauli", gap=0.1):
-    """Sorted bulk spectrum with leading-cluster membership (gap threshold)."""
+    """Sorted bulk spectrum with leading-cluster membership (gap threshold).
+
+    Cached per argument tuple; the eigenvalue array is read-only because
+    every caller shares it.
+    """
     t = transfer_matrix_site(k, chi, chi, n, weight)
     lam = np.linalg.eigvals(t.matrix)
     order = np.lexsort((np.abs(lam.imag), -lam.real))
     lam = lam[order]
+    lam.flags.writeable = False
     leading = [0]
     for i in range(1, len(lam)):
         if lam[i - 1].real - lam[i].real > gap:
             break
         leading.append(i)
-    return SpectrumResult(lam, leading)
+    return SpectrumResult(lam, tuple(leading))
 
 
 def pbc_trace(k, chi, n_sites, n=None, weight="pauli"):

@@ -9,6 +9,7 @@ so phases are always +/-1). The binary matrix is symplectic for the form
 
 from __future__ import annotations
 
+import functools
 import json
 
 import numpy as np
@@ -136,24 +137,35 @@ def conjugate_pauli(t, p):
     return t.inverse().image_of(p)
 
 
+def _conjugate_rows(mat, signs, name, qubits, n):
+    """Conjugate every row of a batch of tableaux by a generator, in place.
+
+    mat has shape (..., 2n, 2n), signs (..., 2n). The row-update rules of
+    Aaronson and Gottesman (quant-ph/0406196), sign updates included.
+    """
+    x, z = mat[..., :n], mat[..., n:]
+    if name == "H":
+        (q,) = qubits
+        signs ^= x[..., q] & z[..., q]
+        x[..., q], z[..., q] = z[..., q].copy(), x[..., q].copy()
+    elif name == "S":
+        (q,) = qubits  # X -> Y, Z -> Z
+        signs ^= x[..., q] & z[..., q]
+        z[..., q] ^= x[..., q]
+    elif name == "CNOT":
+        c, t = qubits  # X_c -> X_c X_t, Z_t -> Z_c Z_t
+        signs ^= x[..., c] & z[..., t] & (x[..., t] ^ z[..., c] ^ 1)
+        x[..., t] ^= x[..., c]
+        z[..., c] ^= z[..., t]
+    else:
+        raise ValueError(f"{name!r} is not a Clifford generator")
+
+
 def gate_tableau(name, qubits, n):
     """Tableau of a named Clifford generator embedded on n qubits."""
     t = CliffordTableau.identity(n)
-    mat, signs = t.mat.copy(), t.signs.copy()
-    if name == "H":
-        (q,) = qubits
-        mat[[q, n + q]] = mat[[n + q, q]]
-        signs[[q, n + q]] = signs[[n + q, q]]
-    elif name == "S":
-        (q,) = qubits  # X -> Y, Z -> Z
-        mat[q, n + q] ^= 1
-    elif name == "CNOT":
-        c, tgt = qubits  # X_c -> X_c X_t, Z_t -> Z_c Z_t
-        mat[c, tgt] ^= 1
-        mat[n + tgt, n + c] ^= 1
-    else:
-        raise ValueError(f"{name!r} is not a Clifford generator")
-    return CliffordTableau(n, mat, signs, word=[(name, list(qubits))])
+    _conjugate_rows(t.mat, t.signs, name, qubits, n)
+    return CliffordTableau(n, t.mat, t.signs, word=[(name, list(qubits))])
 
 
 def _standard_pairs(cand):
@@ -245,42 +257,59 @@ def random_clifford(n, rng):
     return CliffordTableau(n, mat, signs)
 
 
-_GROUP_CACHE = {}
-
-
+@functools.cache
 def enumerate_clifford_group(n):
-    """All 24 (n=1) or 11520 (n=2) Cliffords mod global phase, BFS closure.
+    """All 24 (n=1) or 11520 (n=2) Cliffords mod global phase.
 
-    Each returned tableau carries a generator word in (H, S, CNOT).
+    Breadth-first closure under the generators H_q, S_q (and CNOT both ways
+    for n=2), one level at a time: each generator conjugates the rows of the
+    whole frontier at once, and a candidate joins the group at its first
+    occurrence in (parent, generator) order. The order is therefore fixed:
+    identity first, then by generator-word length. Each returned tableau
+    carries its word in (H, S, CNOT), last-applied gate first.
     """
     if n not in (1, 2):
         raise ValueError("exhaustive enumeration supported for n in {1, 2}")
-    if n in _GROUP_CACHE:
-        return _GROUP_CACHE[n]
-    gens = [gate_tableau("H", [q], n) for q in range(n)]
-    gens += [gate_tableau("S", [q], n) for q in range(n)]
+    gens = [("H", [q]) for q in range(n)] + [("S", [q]) for q in range(n)]
     if n == 2:
-        gens += [gate_tableau("CNOT", [0, 1], n), gate_tableau("CNOT", [1, 0], n)]
+        gens += [("CNOT", [0, 1]), ("CNOT", [1, 0])]
     ident = CliffordTableau.identity(n)
-    seen = {ident.key(): 0}
-    elements = [ident]
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for t in frontier:
-            for gphi in gens:
-                u = gphi.compose(t)
-                k = u.key()
-                if k not in seen:
-                    seen[k] = len(elements)
-                    elements.append(u)
-                    nxt.append(u)
-        frontier = nxt
+    mats, signs = [ident.mat[None]], [ident.signs[None]]
+    weights = 1 << np.arange(4 * n * n + 2 * n, dtype=np.int64)
+
+    def keys(m, s):
+        return np.concatenate([m.reshape(len(m), -1), s], axis=1).astype(np.int64) @ weights
+
+    seen = keys(mats[0], signs[0])
+    parent, gen = [-1], [-1]
+    start = 0  # index of the frontier's first element
+    while len(mats[-1]):
+        front_m, front_s = mats[-1], signs[-1]
+        cand_m = np.repeat(front_m[:, None], len(gens), axis=1)
+        cand_s = np.repeat(front_s[:, None], len(gens), axis=1)
+        for g, (name, qubits) in enumerate(gens):
+            _conjugate_rows(cand_m[:, g], cand_s[:, g], name, qubits, n)
+        cand_m = cand_m.reshape(-1, 2 * n, 2 * n)
+        cand_s = cand_s.reshape(-1, 2 * n)
+        k = keys(cand_m, cand_s)
+        _, first = np.unique(k, return_index=True)
+        first = np.sort(first)
+        first = first[~np.isin(k[first], seen)]
+        seen = np.concatenate([seen, k[first]])
+        parent += (start + first // len(gens)).tolist()
+        gen += (first % len(gens)).tolist()
+        start += len(front_m)
+        mats.append(cand_m[first])
+        signs.append(cand_s[first])
+    mat = np.concatenate(mats)
+    sign = np.concatenate(signs)
     expected = {1: 24, 2: 11520}[n]
-    if len(elements) != expected:
-        raise RuntimeError(f"group closure found {len(elements)} elements, expected {expected}")
-    _GROUP_CACHE[n] = elements
-    return elements
+    if len(mat) != expected:
+        raise RuntimeError(f"group closure found {len(mat)} elements, expected {expected}")
+    words = [[]]
+    for i in range(1, len(mat)):
+        words.append([gens[gen[i]]] + words[parent[i]])
+    return [CliffordTableau(n, mat[i], sign[i], word=words[i]) for i in range(len(mat))]
 
 
 def tableau_to_dense(t):

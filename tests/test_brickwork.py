@@ -37,3 +37,21 @@ def test_scan_shapes_and_worker_determinism():
 def test_delta_decreases_with_chi():
     _, plat = brickwork_scan(6, [2, 4], 10, 12, Rng(5))
     assert plat[1]["delta2_plateau"] < plat[0]["delta2_plateau"]
+
+
+def test_one_spectrum_per_step_keeps_the_bits():
+    from cmpslab.brickwork import brickwork_layer
+    from cmpslab.dense import exact_sre
+    from cmpslab.mps import MpsState
+
+    rec = brickwork_trajectory(6, 4, 5, Rng(7))
+    rng = Rng(7)
+    state = MpsState.product_state([(1.0, 0.0)] * 6)
+    m2, m3 = [], []
+    for t in range(6):
+        if t:
+            state, _ = brickwork_layer(state, 4, (t - 1) % 2, rng)
+        psi = state.to_statevector()
+        m2.append(exact_sre(psi, 2)[0])
+        m3.append(exact_sre(psi, 3)[0])
+    assert rec.m2 == m2 and rec.m3 == m3

@@ -105,3 +105,85 @@ def test_workers_do_not_change_results():
     serial = cooling_scan([4], [0.5], 4, Rng(6), workers=1)
     threaded = cooling_scan([4], [0.5], 4, Rng(6), workers=3)
     assert serial == threaded
+
+
+def test_coset_table_rebuilt_from_enumeration():
+    from cmpslab.cooling import COSET_CIRCUITS, _coset_gates
+    from cmpslab.dense import dense_clifford_group
+    from cmpslab.tableau import enumerate_clifford_group, tableau_from_circuit
+
+    group = dense_clifford_group(2)
+
+    def schmidt(m):
+        # operator Schmidt coefficients: singular values of the realignment;
+        # a 4x4 unitary is a product a (x) b iff there is one
+        r = m.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 4, 4)
+        return np.linalg.svd(r, compute_uv=False)
+
+    coset = np.full(len(group), -1)
+    firsts = []
+    for i in range(len(group)):
+        if coset[i] < 0:
+            members = schmidt(group @ group[i].conj().T)[:, 1] < 1e-9  # h = l g, l local
+            assert np.all(coset[members] == -1)
+            coset[members] = len(firsts)
+            firsts.append(i)
+    assert np.all(np.bincount(coset) == 576)
+    assert len(firsts) == len(COSET_CIRCUITS) == 20
+    tabs = enumerate_clifford_group(2)
+    for circuit, i in zip(COSET_CIRCUITS, firsts):
+        assert [(name, list(q)) for name, q in circuit] == list(reversed(tabs[i].word))
+        assert tableau_from_circuit(circuit, 2) == tabs[i]
+    assert np.array_equal(_coset_gates(), group[firsts])
+    # class split 1 + 9 + 9 + 1: operator Schmidt rank 1 (local), 2 (CNOT-like),
+    # 4 (iSWAP- and SWAP-like)
+    ranks = np.sum(schmidt(_coset_gates()) > 1e-9, axis=1)
+    assert np.bincount(ranks).tolist() == [0, 1, 9, 0, 10]
+
+
+def full_group_cool(psi, sweeps, objective):
+    """The greedy sweep of `cool` over all 11520 two-qubit Cliffords, lowest
+    enumeration index within 1e-12 of the minimum."""
+    from cmpslab.dense import dense_clifford_group
+    from cmpslab.tableau import enumerate_clifford_group
+
+    group = dense_clifford_group(2)
+    words = [t.word for t in enumerate_clifford_group(2)]
+    n = int(np.log2(len(psi)))
+
+    def max_cut(v, skip=None):
+        return max((entanglement_entropy(v, c) for c in range(1, n) if c != skip), default=0.0)
+
+    trace, circuit = [max_cut(psi)], []
+    for _ in range(sweeps):
+        moved = False
+        for bond in range(n - 1):
+            theta = psi.reshape(1 << bond, 4, -1)
+            k = np.einsum("gxy,ayb->gaxb", group, theta).reshape(len(group), 2 << bond, -1)
+            p = np.linalg.svd(k, compute_uv=False) ** 2
+            ents = -np.sum(np.where(p > 1e-18, p * np.log(np.maximum(p, 1e-300)), 0.0), axis=1)
+            if objective == "max":
+                ents = np.maximum(ents, max_cut(psi, skip=bond + 1))
+            idx = int(np.flatnonzero(ents <= ents.min() + 1e-12)[0])
+            if idx:
+                psi = apply_gate(psi, group[idx], (bond, bond + 1))
+                circuit += [(name, [bond + q for q in qs]) for name, qs in reversed(words[idx])]
+                moved = True
+        trace.append(max_cut(psi))
+        if not moved or trace[-1] < 1e-12:
+            break
+    return trace, circuit
+
+
+@pytest.mark.parametrize("objective", ["cut", "max"])
+@pytest.mark.parametrize("n,t_count,seed,sweeps", [(5, 3, 21, 5), (5, 5, 26, 5), (8, 4, 23, 2)])
+def test_coset_search_matches_full_group(objective, n, t_count, seed, sweeps):
+    psi = build_doped_state(DopedCircuitSpec(n=n, v=1, t_count=t_count, seed=seed))
+    rep = cool(psi, sweeps=sweeps, objective=objective)
+    trace, circuit = full_group_cool(psi, sweeps, objective)
+    assert len(rep.entropy_trace) == len(trace)
+    assert np.allclose(rep.entropy_trace, trace, rtol=0, atol=1e-12)
+    assert rep.circuit == circuit
+    final = replay(psi, rep.circuit)
+    got = max(entanglement_entropy(final, c) for c in range(1, n))
+    assert got == pytest.approx(rep.entropy_trace[-1], abs=1e-12)

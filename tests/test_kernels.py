@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cmpslab.kernels import Rng, haar_unitary, svd_truncate
+from cmpslab.kernels import Rng, haar_unitary, indexed_map, svd_truncate
 
 
 def test_rng_reproducible():
@@ -51,3 +51,13 @@ def test_svd_truncate_discarded_weight():
     full_s = np.linalg.svd(m, compute_uv=False)
     assert len(s) == 3
     assert disc == pytest.approx(np.sum(full_s[3:] ** 2), rel=1e-12)
+
+
+def test_indexed_map_keeps_index_order():
+    def draw(i):
+        return Rng(3).child(i).normal()
+
+    serial = indexed_map(draw, 7)
+    assert serial == [draw(i) for i in range(7)]
+    assert indexed_map(draw, 7, workers=3) == serial
+    assert indexed_map(draw, 0, workers=2) == []

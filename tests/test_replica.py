@@ -101,6 +101,14 @@ def test_k4_spectrum_series():
     )
 
 
+def test_transfer_spectrum_cached_and_read_only():
+    spec = transfer_spectrum(4, 8, 2)
+    assert transfer_spectrum(4, 8, 2) is spec
+    with pytest.raises(ValueError):
+        spec.eigenvalues[0] = 0.0
+    assert spec.leading[0] == 0
+
+
 def test_pbc_trace_consistent_with_delta():
     d4 = pbc_trace(4, 4, 3, 2) - haar_magic_scaled(8, 2)
     assert pbc_delta(3, 4, 2) == pytest.approx(d4, rel=1e-9)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -116,6 +117,30 @@ def test_random_clifford_uniform_on_single_qubit():
 def test_group_enumeration_sizes():
     assert len(enumerate_clifford_group(1)) == 24
     assert len(enumerate_clifford_group(2)) == 11520
+
+
+# sha256 of the enumeration: ordered tableau keys, ordered generator words
+# (JSON) and the dense unitaries. The random brickwork layers of the cooling
+# benchmark states draw from this order, so it must not change.
+PINNED_ENUMERATION = {
+    1: ("5913ba8f431b73339abbcf9f671a226ee6a908b8ed1f647734975d09cbf31cea",
+        "a76043e765a588f1ac627e574ffd73c1770fa333b5501f951b988a7f2217e99b",
+        "3fe83a212786567610681b92eabe3ec2b153050bacc5f324d2e9d308f9a3db4f"),
+    2: ("653154940b93a338d09275404ed4724cb12f6b22c726ed76e64cfa53c4c214d8",
+        "457fb8184371b8c0dddf92e40c74c2e5861096a7a5437daebaec7040e8b5f4c8",
+        "39e1a7b0defee7e2c16df2453708a57fa2172bafc51909cca023f19ae6aa2e51"),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_group_enumeration_pinned(n):
+    from cmpslab.dense import dense_clifford_group
+
+    group = enumerate_clifford_group(n)
+    keys = hashlib.sha256(b"".join(t.key() for t in group)).hexdigest()
+    words = hashlib.sha256(json.dumps([t.word for t in group]).encode()).hexdigest()
+    dense = hashlib.sha256(dense_clifford_group(n).tobytes()).hexdigest()
+    assert (keys, words, dense) == PINNED_ENUMERATION[n]
 
 
 def test_tableau_to_dense_consistency():
