@@ -60,17 +60,16 @@ def brickwork_trajectory(n, chi_max, steps, rng):
     return rec
 
 
-def brickwork_scan(n, chi_list, steps, trajectories, rng, plateau_window=None, workers=1):
+def brickwork_scan(n, chi_list, steps, trajectories, rng, workers=1):
     """Trajectory-averaged delta^(n)(t) and entropy curves per chi.
 
     Returns a list of row dicts (t, chi, n, delta, se, max_entropy) plus a
-    plateau summary per chi: delta averaged over the last `plateau_window`
-    steps (default: last quarter of the evolution). Trajectories run on
-    `workers` threads with per-trajectory child rngs, collected in index
-    order, so results are independent of the thread count.
+    plateau summary per chi: delta averaged over the last quarter of the
+    evolution (at least one step). Trajectories run on `workers` threads
+    with per-trajectory child rngs, collected in index order, so results are
+    independent of the thread count.
     """
-    if plateau_window is None:
-        plateau_window = max(1, steps // 4)
+    window = max(1, steps // 4)
     d = 1 << n
     haar2 = haar_magic_scaled(d, 2)
     haar3 = haar_magic_scaled(d, 3)
@@ -95,8 +94,8 @@ def brickwork_scan(n, chi_list, steps, trajectories, rng, plateau_window=None, w
                         "max_entropy": float(ent[:, t].mean()),
                     }
                 )
-        win2 = d2[:, -plateau_window:].mean(axis=1)
-        win3 = d3[:, -plateau_window:].mean(axis=1)
+        win2 = d2[:, -window:].mean(axis=1)
+        win3 = d3[:, -window:].mean(axis=1)
         plateaus.append(
             {
                 "chi": chi,
@@ -104,7 +103,7 @@ def brickwork_scan(n, chi_list, steps, trajectories, rng, plateau_window=None, w
                 "delta2_se": float(win2.std(ddof=1) / np.sqrt(trajectories)),
                 "delta3_plateau": float(win3.mean()),
                 "delta3_se": float(win3.std(ddof=1) / np.sqrt(trajectories)),
-                "entropy_plateau": float(ent[:, -plateau_window:].mean()),
+                "entropy_plateau": float(ent[:, -window:].mean()),
             }
         )
     return rows, plateaus

@@ -4,7 +4,8 @@ Every subcommand reads an optional JSON config (flags override fields) and
 emits CSV with '#' header comments carrying the artifact version, the sha256
 of the resolved config, and the seed, so identical config + seed reruns are
 byte-identical. Errors exit nonzero with a one-line JSON diagnostic on
-stderr. CMPSLAB_WORKERS sets the trajectory thread count (default 1).
+stderr. `brickwork` and `cooling` run their trajectories on --workers threads
+(default $CMPSLAB_WORKERS, else 1); results do not depend on the count.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ def _load_config(path):
 
 
 def _resolve(cfg, field, override, default, kind):
-    """Merge precedence: CLI flag > config field > default. kind validates."""
+    """Merge precedence: CLI flag > config field > default. kind validates:
+    "int", "int_list", "float_list", or a tuple of the allowed strings."""
     val = override if override is not None else cfg.get(field, default)
     try:
         if kind == "int_list":
@@ -56,8 +58,8 @@ def _resolve(cfg, field, override, default, kind):
                 raise ValueError("empty list")
         elif kind == "int":
             val = int(val)
-        elif kind == "str":
-            val = str(val)
+        elif val not in kind:
+            raise ValueError(f"{val!r} is not one of {', '.join(kind)}")
     except (TypeError, ValueError) as exc:
         raise click.ClickException(json.dumps({"error": "config_field", "field": field, "message": str(exc)}))
     return val
@@ -107,8 +109,10 @@ _common = [
     click.option("--config", "config_path", type=click.Path(exists=True), default=None, help="JSON config file."),
     click.option("--out", default="-", show_default=True, help="Output CSV path ('-' for stdout)."),
     click.option("--seed", type=int, default=None, help="Root seed."),
-    click.option("--workers", type=int, default=None, help="Thread count (default $CMPSLAB_WORKERS or 1)."),
 ]
+_workers_option = click.option(
+    "--workers", type=int, default=None, help="Trajectory thread count (default $CMPSLAB_WORKERS or 1)."
+)
 
 
 def common_options(fn):
@@ -125,21 +129,27 @@ def common_options(fn):
 @click.option("--boundary", type=click.Choice(["obc", "pbc"]), default=None)
 @click.option("--method", type=click.Choice(["analytic", "mc"]), default=None)
 @click.option("--samples", type=int, default=None, help="MC sample count (method=mc).")
-def magic_scan(config_path, out, seed, workers, n_list, chi_list, sre_list, boundary, method, samples):
+def magic_scan(config_path, out, seed, n_list, chi_list, sre_list, boundary, method, samples):
     """Magic deviation from Haar per (N, chi, n), with power-law fits per N."""
+    from .dense import MAX_SRE_QUBITS
     from .replica import delta_chi, fit_power_law, pbc_delta
 
     cfg = _load_config(config_path)
     ns = _resolve(cfg, "n_list", n_list, [8, 16], "int_list")
     chis = _resolve(cfg, "chi_list", chi_list, [2, 4, 8, 16], "int_list")
     sres = _resolve(cfg, "sre_list", sre_list, [2, 3], "int_list")
-    boundary = _resolve(cfg, "boundary", boundary, "obc", "str")
-    method = _resolve(cfg, "method", method, "analytic", "str")
+    boundary = _resolve(cfg, "boundary", boundary, "obc", ("obc", "pbc"))
+    method = _resolve(cfg, "method", method, "analytic", ("analytic", "mc"))
     samples = _resolve(cfg, "samples", samples, 2000, "int")
     seed = _resolve(cfg, "seed", seed, 0, "int")
     _check_chis(chis)
     if any(nn not in (2, 3) for nn in sres):
         raise click.ClickException(json.dumps({"error": "config_field", "field": "sre_list", "message": "indices must be 2 or 3"}))
+    if boundary == "pbc" and method == "mc":
+        raise click.ClickException(json.dumps({"error": "config_field", "field": "method", "message": "mc supports obc only"}))
+    if method == "mc" and max(ns) > MAX_SRE_QUBITS:
+        raise click.ClickException(json.dumps(
+            {"error": "config_field", "field": "n_list", "message": f"mc evaluates SREs densely, so N <= {MAX_SRE_QUBITS}"}))
     resolved = {"experiment": "magic-scan", "n_list": ns, "chi_list": chis, "sre_list": sres,
                 "boundary": boundary, "method": method, "samples": samples, "seed": seed}
     rng = Rng(seed)
@@ -149,12 +159,10 @@ def magic_scan(config_path, out, seed, workers, n_list, chi_list, sre_list, boun
             pts = []
             for chi in chis:
                 if boundary == "pbc":
-                    if method == "mc":
-                        raise click.ClickException(json.dumps(
-                            {"error": "config_field", "field": "method", "message": "mc supports obc only"}))
                     delta, se = pbc_delta(big_n, chi, nn), 0.0
                 else:
-                    res = delta_chi(big_n, chi, nn, method=method, rng=rng.child(hash((big_n, nn, chi)) % (1 << 30)), samples=samples)
+                    # one child stream per CSV row, keyed by the row index
+                    res = delta_chi(big_n, chi, nn, method=method, rng=rng.child(len(rows)), samples=samples)
                     delta, se = res.delta, res.se
                 pts.append((chi, delta))
                 rows.append({"n_sites": big_n, "chi": chi, "n": nn, "boundary": boundary,
@@ -170,6 +178,7 @@ def magic_scan(config_path, out, seed, workers, n_list, chi_list, sre_list, boun
 
 @main.command("brickwork")
 @common_options
+@_workers_option
 @click.option("--n", "n_qubits", type=int, default=None)
 @click.option("--chi-list", default=None)
 @click.option("--steps", type=int, default=None)
@@ -203,7 +212,7 @@ def brickwork_cmd(config_path, out, seed, workers, n_qubits, chi_list, steps, tr
 @click.option("--n", "n_qubits", type=int, default=None)
 @click.option("--chi-list", default=None)
 @click.option("--pairs", type=int, default=None, help="MC overlap pairs per frame potential.")
-def design_audit(config_path, out, seed, workers, n_qubits, chi_list, pairs):
+def design_audit(config_path, out, seed, n_qubits, chi_list, pairs):
     """Frame potentials for STAB/Haar/CMPS ensembles plus Delta^(4) plug-ins."""
     from .ensembles import (
         cmps_sampler,
@@ -249,6 +258,7 @@ def design_audit(config_path, out, seed, workers, n_qubits, chi_list, pairs):
 
 @main.command("cooling")
 @common_options
+@_workers_option
 @click.option("--n-list", default=None)
 @click.option("--vt-grid", default=None, help="Comma-separated vt/N values.")
 @click.option("--trajectories", type=int, default=None)
@@ -281,18 +291,19 @@ def oracle_suite(seed):
         checks.append((name, fn))
 
     def weingarten_k2():
-        from .replica import weingarten_table
+        from .replica import sk_tables, weingarten_matrix
+        _, index, _, _ = sk_tables(2)
         for q in (2, 4, 7, 16):
-            t = weingarten_table(2, q)
-            assert abs(t.value((0, 1)) - 1.0 / (q * q - 1)) < 1e-12
-            assert abs(t.value((1, 0)) + 1.0 / (q * (q * q - 1))) < 1e-12
+            w = weingarten_matrix(2, q)
+            assert abs(w[0, index[(0, 1)]] - 1.0 / (q * q - 1)) < 1e-12
+            assert abs(w[0, index[(1, 0)]] + 1.0 / (q * (q * q - 1))) < 1e-12
 
     def gram_times_wg():
-        from .replica import _weingarten_matrix, sk_tables
+        from .replica import sk_tables, weingarten_matrix
         for k, q in ((4, 8), (6, 32)):
             _, _, ccount, _ = sk_tables(k)
             g = float(q) ** ccount.astype(float)
-            w, _pseudo = _weingarten_matrix(k, q, allow_pseudo=False)
+            w = weingarten_matrix(k, q)
             assert np.max(np.abs(g @ w - np.eye(len(g)))) < 1e-10
 
     def product_law():

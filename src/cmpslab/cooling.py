@@ -25,7 +25,7 @@ from .dense import (
     num_qubits,
     zero_state,
 )
-from .kernels import Rng, indexed_map
+from .kernels import indexed_map
 from .tableau import tableau_from_circuit, tableau_to_dense
 
 _T_GATE = np.diag([1.0, np.exp(1j * np.pi / 4)])
@@ -42,7 +42,6 @@ class DopedCircuitSpec:
     n: int
     v: int = 1
     t_count: int = 0
-    seed: int = 0
 
     def __post_init__(self):
         if self.n < 2 or self.n > MAX_DENSE_QUBITS:
@@ -62,10 +61,9 @@ def _brickwork_clifford_layer(psi, parity, rng):
     return psi
 
 
-def build_doped_state(spec, rng=None):
+def build_doped_state(spec, rng):
     """Dense state after t_count rounds of (v brickwork Clifford layers +
     one T at a uniformly random qubit). t_count = 0 returns |0...0>."""
-    rng = rng if rng is not None else Rng(spec.seed)
     psi = zero_state(spec.n)
     layer = 0
     for _ in range(spec.t_count):
@@ -131,8 +129,10 @@ COSET_CIRCUITS = (
 
 @functools.cache
 def _coset_gates():
-    """Dense unitaries of COSET_CIRCUITS, stacked."""
-    return np.stack([tableau_to_dense(tableau_from_circuit(c, 2)) for c in COSET_CIRCUITS])
+    """Dense unitaries of COSET_CIRCUITS, stacked in one read-only array."""
+    gates = np.stack([tableau_to_dense(tableau_from_circuit(c, 2)) for c in COSET_CIRCUITS])
+    gates.flags.writeable = False
+    return gates
 
 
 def _candidate_entropies(psi, bond):
@@ -156,24 +156,21 @@ def _candidate_entropies(psi, bond):
     return -np.sum(lam * np.log(lam), axis=-1)
 
 
-def cool(state, sweeps=None, objective="cut"):
+def cool(state, sweeps=None):
     """Greedy entanglement cooling by two-qubit Clifford search.
 
     Sweeps bonds left to right; at bond i it tries one gate per coset
     (C1 x C1) g of the two-qubit Clifford group (COSET_CIRCUITS, 20 gates),
     which reaches every entropy the whole group reaches, and keeps the gate
-    minimizing the entropy of the [0..i] | [i+1..N-1] cut (objective="cut")
-    or the max over all cuts (objective="max"). The gate kept is the lowest
-    table entry within 1e-12 of the minimum, so float noise does not pick
-    among ties, and the identity stays when nothing improves. Stops early
-    once the state is a product state or a sweep changes nothing.
+    minimizing the entropy of the [0..i] | [i+1..N-1] cut. The gate kept is
+    the lowest table entry within 1e-12 of the minimum, so float noise does
+    not pick among ties, and the identity stays when nothing improves. Stops
+    early once the state is a product state or a sweep changes nothing.
     """
     psi = np.array(state, dtype=complex)
     n = num_qubits(psi)
     if n > MAX_DENSE_QUBITS:
         raise ValueError(f"cooling limited to N <= {MAX_DENSE_QUBITS}")
-    if objective not in ("cut", "max"):
-        raise ValueError(f"unknown objective {objective!r}")
     if sweeps is None:
         sweeps = n
     gates = _coset_gates()
@@ -185,18 +182,11 @@ def cool(state, sweeps=None, objective="cut"):
         moved = False
         for bond in range(n - 1):
             ents = _candidate_entropies(psi, bond)
-            if objective == "max":
-                # the gate only touches cut bond+1; fold in the fixed cuts
-                others = max(
-                    (entanglement_entropy(psi, c) for c in range(1, n) if c != bond + 1),
-                    default=0.0,
-                )
-                ents = np.maximum(ents, others)
             idx = int(np.flatnonzero(ents <= ents.min() + 1e-12)[0])
             if idx == 0:
                 continue  # no real improvement: leave the bond untouched
-            current = entanglement_entropy(psi, bond + 1) if objective == "cut" else trace[-1]
-            assert ents[idx] <= current + 1e-9, "accepted move increased the objective"
+            current = entanglement_entropy(psi, bond + 1)
+            assert ents[idx] <= current + 1e-9, "accepted move increased the cut entropy"
             psi = apply_gate(psi, gates[idx], (bond, bond + 1))
             circuit.extend((name, [bond + q for q in qubits]) for name, qubits in COSET_CIRCUITS[idx])
             moved = True

@@ -10,17 +10,16 @@ full Pauli spectrum costs O(8^N), not the O(4^N N) of a butterfly transform.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import scipy.linalg
 
-from .paulis import PauliString, apply_to_statevector, masks, popcount
-from .tableau import enumerate_clifford_group, random_clifford, tableau_to_dense
+from .paulis import PauliString, apply_to_statevector
+from .tableau import enumerate_clifford_group, tableau_to_dense
 
 MAX_DENSE_QUBITS = 12
 MAX_SRE_QUBITS = 10
-
-_XOR_CACHE = {}
-_PHASE_CACHE = {}
 
 
 def num_qubits(psi):
@@ -62,6 +61,16 @@ def pauli_expectation_dense(psi, p):
     return complex(np.vdot(psi, apply_to_statevector(p, psi)))
 
 
+@functools.cache
+def _xor_and_phase(d):
+    """Read-only (s ^ x) index table and phase table (-i)^{|x&z|} for 2^N = d."""
+    idx = np.arange(d)
+    xor = idx[:, None] ^ idx[None, :]
+    phase = (-1j) ** (np.bitwise_count(idx[:, None] & idx[None, :]) % 4)
+    xor.flags.writeable = phase.flags.writeable = False
+    return xor, phase
+
+
 def pauli_spectrum(psi):
     """All 4^N Hermitian Pauli expectations as a (2^N, 2^N) real array.
 
@@ -72,16 +81,11 @@ def pauli_spectrum(psi):
     if n > MAX_SRE_QUBITS:
         raise ValueError(f"full Pauli enumeration limited to N <= {MAX_SRE_QUBITS}")
     d = 1 << n
-    if d not in _XOR_CACHE:
-        idx = np.arange(d)
-        _XOR_CACHE[d] = idx[:, None] ^ idx[None, :]
-        w = popcount(idx[:, None] & idx[None, :]) % 4
-        _PHASE_CACHE[d] = (-1j) ** w
-    xor = _XOR_CACHE[d]
+    xor, phase = _xor_and_phase(d)
     v = psi.conj()[None, :] * psi[xor]          # v[x, s] = psi*_s psi_{s^x}
     h = scipy.linalg.hadamard(d).astype(float)  # h[s, z] = (-1)^{|s&z|}
     r = v @ h
-    e = r * _PHASE_CACHE[d]
+    e = r * phase
     resid = float(np.max(np.abs(e.imag)))
     if resid > 1e-8:
         raise FloatingPointError(f"Pauli spectrum imaginary residue {resid:.2e}")
@@ -127,15 +131,13 @@ def entanglement_entropy(psi, cut):
     return float(-np.sum(p * np.log(p)))
 
 
-_DENSE_GROUP_CACHE = {}
-
-
+@functools.cache
 def dense_clifford_group(n):
-    """Dense unitaries of the full 1- or 2-qubit Clifford group, cached."""
-    if n not in _DENSE_GROUP_CACHE:
-        group = enumerate_clifford_group(n)
-        _DENSE_GROUP_CACHE[n] = np.stack([tableau_to_dense(t) for t in group])
-    return _DENSE_GROUP_CACHE[n]
+    """Dense unitaries of the full 1- or 2-qubit Clifford group, as one
+    read-only stacked array built once per n."""
+    group = np.stack([tableau_to_dense(t) for t in enumerate_clifford_group(n)])
+    group.flags.writeable = False
+    return group
 
 
 def permutation_operator(d, k, perm):
@@ -156,22 +158,22 @@ def permutation_operator(d, k, perm):
     return op
 
 
-def build_q_and_psym(n, k=4):
-    """(Q, P_symm) on k replicas of N <= 2 qubits.
+def build_q_and_psym(n):
+    """(Q, P_symm) on 4 replicas of N <= 2 qubits.
 
     Q = d^{-2} sum_sigma sigma^{(x)4} over bare Hermitian Pauli strings;
     P_symm is the symmetric-subspace projector.
     """
-    if n > 2 or k != 4:
-        raise ValueError("replica operators materialized only for N <= 2, k = 4")
+    if n > 2:
+        raise ValueError("replica operators materialized only for N <= 2")
     from itertools import permutations
 
     d = 1 << n
-    dk = d**k
+    dk = d**4
     p_symm = np.zeros((dk, dk))
-    perms = list(permutations(range(k)))
+    perms = list(permutations(range(4)))
     for perm in perms:
-        p_symm += permutation_operator(d, k, perm)
+        p_symm += permutation_operator(d, 4, perm)
     p_symm /= len(perms)
     q = np.zeros((dk, dk), dtype=complex)
     for xb in range(d):
@@ -197,20 +199,12 @@ def clifford_4fold_coefficients(d, pi_norm2):
     return alpha, beta
 
 
-def clifford_channel_4fold(psi, exact=True, rng=None, samples=2000):
-    """E[(U^dag |psi><psi| U)^{(x)4}] over the Clifford group.
-
-    Exact mode enumerates the full group (N <= 2); otherwise Monte Carlo.
-    """
+def clifford_channel_4fold(psi):
+    """E[(U^dag |psi><psi| U)^{(x)4}] over the whole Clifford group (N <= 2)."""
     n = num_qubits(psi)
-    if exact:
-        if n > 2:
-            raise ValueError("exact group average limited to N <= 2")
-        us = dense_clifford_group(n)
-    else:
-        if rng is None:
-            raise ValueError("Monte Carlo mode needs an rng")
-        us = np.stack([tableau_to_dense(random_clifford(n, rng)) for _ in range(samples)])
+    if n > 2:
+        raise ValueError("exact group average limited to N <= 2")
+    us = dense_clifford_group(n)
     v = np.einsum("gji,j->gi", us.conj(), psi)  # U^dag psi
     v2 = np.einsum("ga,gb->gab", v, v).reshape(len(us), -1)
     w = np.einsum("ga,gb->gab", v2, v2).reshape(len(us), -1)

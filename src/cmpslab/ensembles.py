@@ -18,7 +18,6 @@ import numpy as np
 from .dense import dense_clifford_group, haar_state, purity
 from .mps import MpsState, pauli_expectation, sample_rmps_obc
 from .paulis import PauliString
-from .replica import haar_magic_scaled
 from .tableau import CliffordTableau, random_clifford, tableau_to_dense
 
 
@@ -26,7 +25,6 @@ from .tableau import CliffordTableau, random_clifford, tableau_to_dense
 class CmpsSample:
     tableau: CliffordTableau
     mps: MpsState
-    seed: int | None = None
 
     @property
     def n(self):
@@ -45,7 +43,7 @@ def sample_cmps(n, chi_max, rng):
     """|psi> = U_c |phi>_chi: independent uniform Clifford and staircase MPS."""
     tab = random_clifford(n, rng)
     mps = sample_rmps_obc(n, chi_max, rng)
-    return CmpsSample(tab, mps, seed=getattr(rng, "seed", None))
+    return CmpsSample(tab, mps)
 
 
 def cmps_statevector(sample):

@@ -20,7 +20,6 @@ import struct
 import numpy as np
 
 from .kernels import haar_unitary, svd_truncate
-from .paulis import PauliString
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -56,16 +55,15 @@ class MpsState:
     Operations return new states; tensors are never mutated in place.
     """
 
-    def __init__(self, tensors, check=True):
+    def __init__(self, tensors):
         self.tensors = list(tensors)
         self.n = len(self.tensors)
         self.bond_dims = [t.shape[0] for t in self.tensors] + [self.tensors[-1].shape[2]]
-        if check:
-            if self.bond_dims[0] != 1 or self.bond_dims[-1] != 1:
-                raise ValueError("edge bonds must have dimension 1")
-            for i, t in enumerate(self.tensors):
-                if t.ndim != 3 or t.shape[1] != 2 or t.shape[2] != self.bond_dims[i + 1]:
-                    raise ValueError(f"bad tensor shape {t.shape} at site {i}")
+        if self.bond_dims[0] != 1 or self.bond_dims[-1] != 1:
+            raise ValueError("edge bonds must have dimension 1")
+        for i, t in enumerate(self.tensors):
+            if t.ndim != 3 or t.shape[1] != 2 or t.shape[2] != self.bond_dims[i + 1]:
+                raise ValueError(f"bad tensor shape {t.shape} at site {i}")
 
     @classmethod
     def product_state(cls, amplitudes):
@@ -128,7 +126,7 @@ def _right_canonicalize(tensors):
     return ts, complex(carry[0, 0])
 
 
-def apply_two_qubit_gate(state, gate, site, chi_max, cutoff=0.0):
+def apply_two_qubit_gate(state, gate, site, chi_max):
     """Apply a 4x4 gate on (site, site+1), truncating the middle bond.
 
     Returns (new_state, discarded_weight). The state is renormalized after
@@ -150,7 +148,7 @@ def apply_two_qubit_gate(state, gate, site, chi_max, cutoff=0.0):
     chi_l, chi_r = a.shape[0], b.shape[2]
     theta = np.einsum("asb,btc->astc", a, b).reshape(chi_l, 4, chi_r)
     theta = np.einsum("uv,avb->aub", gate, theta)
-    u, s, vh, discarded = svd_truncate(theta.reshape(chi_l * 2, 2 * chi_r), chi_max, cutoff)
+    u, s, vh, discarded = svd_truncate(theta.reshape(chi_l * 2, 2 * chi_r), chi_max)
     nrm = np.linalg.norm(s)
     s = s / nrm
     keep = len(s)
@@ -220,19 +218,19 @@ def entanglement_profile(state):
     return EntanglementProfile(ents)
 
 
-def mps_from_statevector(psi, chi_max=None, cutoff=1e-14):
-    """Exact (or truncated) right-canonical MPS from a dense 2^N vector."""
+def mps_from_statevector(psi):
+    """Exact right-canonical MPS from a dense 2^N vector: successive SVDs
+    that drop only singular values at or below 1e-14."""
     d = len(psi)
     n = d.bit_length() - 1
     if 1 << n != d:
         raise ValueError("state length is not a power of two")
-    cap = chi_max if chi_max is not None else 1 << (n // 2)
     ts = []
     rest = psi.reshape(1, -1)
     chi_l = 1
     for i in range(n - 1):
         m = rest.reshape(chi_l * 2, -1)
-        u, s, vh, _ = svd_truncate(m, cap, cutoff)
+        u, s, vh, _ = svd_truncate(m, 1 << (n // 2), 1e-14)
         keep = len(s)
         ts.append(u.reshape(chi_l, 2, keep))
         rest = (s[:, None] * vh)

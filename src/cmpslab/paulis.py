@@ -119,16 +119,6 @@ def hermitian_pauli_from_index(n, x_bits, z_bits):
     return PauliString.hermitian(x, z)
 
 
-def popcount(a):
-    """Bit-population count of an integer array."""
-    a = np.asarray(a, dtype=np.uint64)
-    cnt = np.zeros(a.shape, dtype=np.int64)
-    while a.any():
-        cnt += (a & np.uint64(1)).astype(np.int64)
-        a = a >> np.uint64(1)
-    return cnt
-
-
 def masks(p):
     """Integer (xmask, zmask) with site 0 on the most significant bit."""
     n = p.n
@@ -148,7 +138,7 @@ def apply_to_statevector(p, vec):
         raise ValueError("state length mismatch")
     xm, zm = masks(p)
     src = np.arange(d) ^ xm
-    sign = np.where(popcount(src & zm) % 2, -1.0, 1.0)
+    sign = np.where(np.bitwise_count(src & zm) % 2, -1.0, 1.0)
     return p.phase * vec[src] * sign
 
 

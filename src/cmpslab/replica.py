@@ -135,33 +135,15 @@ def weingarten_sector(k, q):
     return w
 
 
-@dataclass(frozen=True)
-class WeingartenTable:
-    """Wg(sigma, q) for U(q) and k-fold averages."""
-
-    k: int
-    q: int
-
-    def value(self, perm):
-        """Wg(perm, q); perm as a tuple in one-line notation."""
-        _, index, _, label = sk_tables(self.k)
-        return float(weingarten_sector(self.k, self.q)[label[0, index[tuple(perm)]], 0])
-
-
-def _weingarten_matrix(k, q, allow_pseudo):
-    """(W, pseudo): the full matrix W[sigma, pi] = Wg(sigma^-1 pi, q), and
-    whether it is the pseudo-inverse of a singular Gram matrix (q < k)."""
-    if q < k and not allow_pseudo:
-        raise ValueError(f"Gram matrix singular for q={q} < k={k}")
+@functools.cache
+def weingarten_matrix(k, q):
+    """Read-only full matrix W[sigma, pi] = Wg(sigma^-1 pi, q) over S_k in
+    `sk_tables` order: the inverse of the Gram matrix, or its Moore-Penrose
+    pseudo-inverse when q < k. Wg(pi, q) itself is W[0, index[pi]]."""
     _, _, _, label = sk_tables(k)
-    return weingarten_sector(k, q)[:, 0].astype(float)[label], q < k
-
-
-def weingarten_table(k, q):
-    """Weingarten table for U(q) and k-fold averages. Requires q >= k."""
-    if q < k:
-        raise ValueError(f"Gram matrix singular for q={q} < k={k}")
-    return WeingartenTable(k, q)
+    w = weingarten_sector(k, q)[:, 0].astype(float)[label]
+    w.flags.writeable = False
+    return w
 
 
 # ------------------------------------------------------- transfer matrices
@@ -227,39 +209,24 @@ def transfer_matrix_site(k, chi_in, chi_out, n, weight="pauli"):
     return TransferMatrix(k, n, chi_in, chi_out, g[label[0]][:, None] * h[label])
 
 
-@dataclass(frozen=True)
-class SpectrumResult:
-    eigenvalues: np.ndarray  # sorted descending by real part, read-only
-    leading: tuple  # indices in the leading cluster
-
-
 @functools.cache
-def transfer_spectrum(k, chi, n, weight="pauli", gap=0.1):
-    """Sorted bulk spectrum with leading-cluster membership (gap threshold).
+def transfer_spectrum(k, chi, n, weight="pauli"):
+    """Bulk transfer-matrix eigenvalues, sorted by descending real part.
 
-    Cached per argument tuple; the eigenvalue array is read-only because
-    every caller shares it.
+    Cached per argument tuple; the array is read-only because every caller
+    shares it.
     """
-    t = transfer_matrix_site(k, chi, chi, n, weight)
-    lam = np.linalg.eigvals(t.matrix)
-    order = np.lexsort((np.abs(lam.imag), -lam.real))
-    lam = lam[order]
+    lam = np.linalg.eigvals(transfer_matrix_site(k, chi, chi, n, weight).matrix)
+    lam = lam[np.lexsort((np.abs(lam.imag), -lam.real))]
     lam.flags.writeable = False
-    leading = [0]
-    for i in range(1, len(lam)):
-        if lam[i - 1].real - lam[i].real > gap:
-            break
-        leading.append(i)
-    return SpectrumResult(lam, tuple(leading))
+    return lam
 
 
 def pbc_trace(k, chi, n_sites, n=None, weight="pauli"):
     """d^n E[m_n] for the periodic chain: sum of lambda^N over the spectrum."""
     if n is None:
         n = k // 2
-    spec = transfer_spectrum(k, chi, n, weight)
-    val = np.sum(spec.eigenvalues**n_sites)
-    return float(val.real)
+    return float(np.sum(transfer_spectrum(k, chi, n, weight) ** n_sites).real)
 
 
 @functools.cache
@@ -291,7 +258,7 @@ def pbc_delta(n_sites, chi, n):
     spectrum in double precision.
     """
     k = 2 * n
-    lam = transfer_spectrum(k, chi, n).eigenvalues
+    lam = transfer_spectrum(k, chi, n)
     x = leading_eigenvalue(k, chi, n) - 1
     if abs(lam[0] - (1 + float(x))) > 1e-9:
         raise RuntimeError(f"double-precision lambda_1 {lam[0]} differs from the exact 1 + {float(x)}")
@@ -385,16 +352,16 @@ class FitResult:
     residual: float
 
 
-def fit_power_law(points, noise_floor=None, exponent=None):
+def fit_power_law(points, exponent=None):
     """OLS fit of delta = coeff * chi^exponent on log-log axes.
 
-    Nonpositive deltas, and deltas below an optional noise floor, are
-    excluded with a warning. Passing `exponent` pins the slope and fits the
-    amplitude alone, the usual move when the theory fixes the power.
+    Nonpositive deltas are excluded with a warning. Passing `exponent` pins
+    the slope and fits the amplitude alone, the usual move when the theory
+    fixes the power.
     """
     xs, ys = [], []
     for chi, delta in points:
-        if delta <= 0 or (noise_floor is not None and delta < noise_floor):
+        if delta <= 0:
             warnings.warn(f"excluding point (chi={chi}, delta={float(delta):g}) from power-law fit")
             continue
         xs.append(math.log(chi))

@@ -117,3 +117,32 @@ def test_bad_workers_env_is_machine_readable(runner):
     payload = json.loads(line)
     assert payload["error"] == "config_field"
     assert payload["field"] == "workers"
+
+
+def _config_error(runner, tmp_path, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    result = runner.invoke(main, ["magic-scan", "--config", str(path), "--out", "-"])
+    assert result.exit_code != 0
+    assert "Traceback" not in result.output
+    line = result.output.split("Error: ", 1)[1]
+    assert line.count("\n") == 1
+    return json.loads(line)
+
+
+def test_unknown_boundary_in_config_is_machine_readable(runner, tmp_path):
+    payload = _config_error(runner, tmp_path, {"n_list": [4], "chi_list": [2], "boundary": "periodic"})
+    assert payload["error"] == "config_field"
+    assert payload["field"] == "boundary"
+
+
+def test_unknown_method_in_config_is_machine_readable(runner, tmp_path):
+    payload = _config_error(runner, tmp_path, {"n_list": [4], "chi_list": [2], "method": "montecarlo"})
+    assert payload["error"] == "config_field"
+    assert payload["field"] == "method"
+
+
+def test_mc_beyond_dense_limit_is_machine_readable(runner, tmp_path):
+    payload = _config_error(runner, tmp_path, {"n_list": [8, 16], "chi_list": [2], "method": "mc"})
+    assert payload["error"] == "config_field"
+    assert payload["field"] == "n_list"

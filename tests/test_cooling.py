@@ -36,17 +36,17 @@ def test_spec_validation():
 
 def test_undoped_state_is_stabilizer():
     spec = DopedCircuitSpec(n=4, t_count=0)
-    psi = build_doped_state(spec)
+    psi = build_doped_state(spec, Rng(0))
     assert np.allclose(psi, zero_state(4))
     psi = build_stabilizer_state(6, 6, Rng(1))
     assert exact_sre(psi, 2)[1] < 1e-10
 
 
 def test_doped_state_has_magic_and_is_reproducible():
-    spec = DopedCircuitSpec(n=6, v=1, t_count=3, seed=11)
-    psi = build_doped_state(spec)
+    spec = DopedCircuitSpec(n=6, v=1, t_count=3)
+    psi = build_doped_state(spec, Rng(11))
     assert exact_sre(psi, 2)[1] > 1e-3
-    assert np.array_equal(psi, build_doped_state(spec))
+    assert np.array_equal(psi, build_doped_state(spec, Rng(11)))
 
 
 def test_zero_state_cools_trivially():
@@ -65,7 +65,7 @@ def test_stabilizer_state_cools_to_zero():
 
 
 def test_trace_non_increasing_and_roundtrip():
-    psi = build_doped_state(DopedCircuitSpec(n=5, v=1, t_count=3, seed=7))
+    psi = build_doped_state(DopedCircuitSpec(n=5, v=1, t_count=3), Rng(7))
     rep = cool(psi)
     for a, b in zip(rep.entropy_trace, rep.entropy_trace[1:]):
         assert b <= a + 1e-9
@@ -75,18 +75,11 @@ def test_trace_non_increasing_and_roundtrip():
 
 
 def test_cooling_preserves_sre():
-    psi = build_doped_state(DopedCircuitSpec(n=5, v=1, t_count=2, seed=3))
+    psi = build_doped_state(DopedCircuitSpec(n=5, v=1, t_count=2), Rng(3))
     m2_in = exact_sre(psi, 2)[1]
     rep = cool(psi)
     final = replay(psi, rep.circuit)
     assert exact_sre(final, 2)[1] == pytest.approx(m2_in, abs=1e-9)
-
-
-def test_max_objective_non_increasing():
-    psi = build_doped_state(DopedCircuitSpec(n=5, v=1, t_count=3, seed=9))
-    rep = cool(psi, objective="max")
-    for a, b in zip(rep.entropy_trace, rep.entropy_trace[1:]):
-        assert b <= a + 1e-9
 
 
 def test_cooling_scan_rows():
@@ -139,9 +132,11 @@ def test_coset_table_rebuilt_from_enumeration():
     # 4 (iSWAP- and SWAP-like)
     ranks = np.sum(schmidt(_coset_gates()) > 1e-9, axis=1)
     assert np.bincount(ranks).tolist() == [0, 1, 9, 0, 10]
+    with pytest.raises(ValueError):
+        _coset_gates()[0, 0, 0] = 0
 
 
-def full_group_cool(psi, sweeps, objective):
+def full_group_cool(psi, sweeps):
     """The greedy sweep of `cool` over all 11520 two-qubit Cliffords, lowest
     enumeration index within 1e-12 of the minimum."""
     from cmpslab.dense import dense_clifford_group
@@ -151,8 +146,8 @@ def full_group_cool(psi, sweeps, objective):
     words = [t.word for t in enumerate_clifford_group(2)]
     n = int(np.log2(len(psi)))
 
-    def max_cut(v, skip=None):
-        return max((entanglement_entropy(v, c) for c in range(1, n) if c != skip), default=0.0)
+    def max_cut(v):
+        return max(entanglement_entropy(v, c) for c in range(1, n))
 
     trace, circuit = [max_cut(psi)], []
     for _ in range(sweeps):
@@ -162,8 +157,6 @@ def full_group_cool(psi, sweeps, objective):
             k = np.einsum("gxy,ayb->gaxb", group, theta).reshape(len(group), 2 << bond, -1)
             p = np.linalg.svd(k, compute_uv=False) ** 2
             ents = -np.sum(np.where(p > 1e-18, p * np.log(np.maximum(p, 1e-300)), 0.0), axis=1)
-            if objective == "max":
-                ents = np.maximum(ents, max_cut(psi, skip=bond + 1))
             idx = int(np.flatnonzero(ents <= ents.min() + 1e-12)[0])
             if idx:
                 psi = apply_gate(psi, group[idx], (bond, bond + 1))
@@ -175,12 +168,16 @@ def full_group_cool(psi, sweeps, objective):
     return trace, circuit
 
 
-@pytest.mark.parametrize("objective", ["cut", "max"])
-@pytest.mark.parametrize("n,t_count,seed,sweeps", [(5, 3, 21, 5), (5, 5, 26, 5), (8, 4, 23, 2)])
-def test_coset_search_matches_full_group(objective, n, t_count, seed, sweeps):
-    psi = build_doped_state(DopedCircuitSpec(n=n, v=1, t_count=t_count, seed=seed))
-    rep = cool(psi, sweeps=sweeps, objective=objective)
-    trace, circuit = full_group_cool(psi, sweeps, objective)
+# ids end in the objective, the cut entropy at the bond
+@pytest.mark.parametrize(
+    "n,t_count,seed,sweeps",
+    [(5, 3, 21, 5), (5, 5, 26, 5), (8, 4, 23, 2)],
+    ids=["5-3-21-5-cut", "5-5-26-5-cut", "8-4-23-2-cut"],
+)
+def test_coset_search_matches_full_group(n, t_count, seed, sweeps):
+    psi = build_doped_state(DopedCircuitSpec(n=n, v=1, t_count=t_count), Rng(seed))
+    rep = cool(psi, sweeps=sweeps)
+    trace, circuit = full_group_cool(psi, sweeps)
     assert len(rep.entropy_trace) == len(trace)
     assert np.allclose(rep.entropy_trace, trace, rtol=0, atol=1e-12)
     assert rep.circuit == circuit

@@ -94,11 +94,9 @@ def test_clifford_channel_exact_n1():
         assert np.max(np.abs(avg - pred)) < 1e-12
 
 
-def test_clifford_channel_mc_close():
-    rng = Rng(6)
-    psi = haar_state(1, rng)
-    avg = clifford_channel_4fold(psi, exact=False, rng=rng, samples=800)
-    q, psym = build_q_and_psym(1)
-    alpha, beta = clifford_4fold_coefficients(2, exact_sre(psi, 2)[0])
-    pred = alpha * (q @ psym) + beta * psym
-    assert np.max(np.abs(avg - pred)) < 0.05
+def test_shared_tables_are_read_only():
+    from cmpslab.dense import _xor_and_phase, dense_clifford_group
+
+    for table in (*_xor_and_phase(4), dense_clifford_group(1)):
+        with pytest.raises(ValueError):
+            table[0, 0] = 0

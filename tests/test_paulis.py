@@ -7,7 +7,6 @@ from cmpslab.paulis import (
     all_hermitian_paulis,
     apply_to_statevector,
     hermitian_pauli_from_index,
-    popcount,
 )
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -79,7 +78,3 @@ def test_all_hermitian_paulis_count_and_identity_first():
     assert np.allclose(dense_of(ps[0]), np.eye(4))
     assert len({(tuple(p.x), tuple(p.z)) for p in ps}) == 16
 
-
-def test_popcount():
-    a = np.array([0, 1, 3, 255, 2**40 + 1], dtype=np.uint64)
-    assert list(popcount(a)) == [0, 1, 2, 8, 2]
