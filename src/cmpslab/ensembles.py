@@ -184,14 +184,14 @@ def _jackknife_variance_se(vals):
     return float(np.sqrt((m - 1) / m * np.sum((var_i - np.mean(var_i)) ** 2)))
 
 
-def purity_fluctuation_mc(sampler, samples, rng, subset_size=None):
+def purity_fluctuation_mc(sampler, samples, rng):
     """Unbiased variance of Pur_A over the ensemble, A = first N/2 qubits."""
     if samples < 3:
         raise ValueError("need at least 3 samples")
     purs = np.empty(samples)
     for i in range(samples):
         psi = sampler(rng.child(i))
-        purs[i] = purity(psi, subset_size)
+        purs[i] = purity(psi)
     return EnsembleEstimate(
         float(np.var(purs, ddof=1)),
         _jackknife_variance_se(purs),

@@ -14,16 +14,9 @@ import json
 
 import numpy as np
 
-from .paulis import PauliString, apply_to_statevector
+from .paulis import PHASES, PauliString
 
 GATE_NAMES = ("H", "S", "CNOT", "T")
-
-
-def _sympl(a, b):
-    n2 = len(a)
-    n = n2 // 2
-    return int(np.dot(a[:n].astype(int), b[n:].astype(int))
-               + np.dot(a[n:].astype(int), b[:n].astype(int))) % 2
 
 
 class CliffordTableau:
@@ -133,7 +126,11 @@ class CliffordTableau:
 
 
 def conjugate_pauli(t, p):
-    """sigma' = U^dag sigma U for tableau t representing U (O(N^2) per call)."""
+    """sigma' = U^dag sigma U for tableau t representing U.
+
+    Rebuilds t.inverse() on every call, O(N^3); to pull many Paulis through
+    one tableau, invert it once and call image_of.
+    """
     return t.inverse().image_of(p)
 
 
@@ -168,91 +165,68 @@ def gate_tableau(name, qubits, n):
     return CliffordTableau(n, t.mat, t.signs, word=[(name, list(qubits))])
 
 
-def _standard_pairs(cand):
-    """Symplectic Gram-Schmidt: extract standard-paired (a_i, b_i) lists from
-    vectors spanning a subspace on which the form is nondegenerate."""
-    a_rows, b_rows = [], []
-    cand = [u for u in cand if u.any()]
-    while cand:
-        pair = None
-        for i, ui in enumerate(cand):
-            for j, uj in enumerate(cand):
-                if j != i and _sympl(ui, uj):
-                    pair = (ui, uj)
-                    break
-            if pair:
-                break
-        if pair is None:
-            # leftovers lie in the radical, which is trivial here
-            break
-        a, b = pair
-        a_rows.append(a)
-        b_rows.append(b)
-        nxt = []
-        for u in cand:
-            if u is a or u is b:
-                continue
-            u = u.copy()
-            if _sympl(u, b):
-                u ^= a
-            if _sympl(u, a):
-                u ^= b
-            if u.any():
-                nxt.append(u)
-        cand = nxt
-    return a_rows, b_rows
-
-
 def random_clifford(n, rng):
     """Exactly uniform Clifford sample (symplectic pair construction + signs).
 
     Per round: v uniform over nonzero vectors of the residual space, w uniform
-    over {w: <v,w> = 1}, then recurse on the symplectic complement of (v, w).
-    The round counts multiply to |Sp(2n, 2)|, so the output is exactly uniform.
+    over {w: <v,w> = 1}, then recurse on the symplectic complement of (v, w),
+    re-paired by symplectic Gram-Schmidt. The round counts multiply to
+    |Sp(2n, 2)|, so the output is exactly uniform. Each vector is a Python
+    int of 2N bits, bit k holding tableau column k (x part low, z part
+    high), so the form is one popcount.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     g = rng.gen
-    basis = [np.eye(2 * n, dtype=np.uint8)[i] for i in range(2 * n)]
+
+    def sympl(a, b):
+        return ((a & (b >> n)) ^ ((a >> n) & b)).bit_count() & 1
+
+    def project(vecs, a, b):
+        """The nonzero parts of vecs in the symplectic complement of (a, b)."""
+        out = []
+        for u in vecs:
+            u ^= a if sympl(u, b) else 0
+            u ^= b if sympl(u, a) else 0
+            if u:
+                out.append(u)
+        return out
+
+    basis = [1 << i for i in range(2 * n)]
     x_rows, z_rows = [], []
     while basis:
         m2 = len(basis)
         c = g.integers(0, 2, size=m2, dtype=np.uint8)
         while not c.any():
             c = g.integers(0, 2, size=m2, dtype=np.uint8)
-        v = np.zeros(2 * n, dtype=np.uint8)
-        for j in range(m2):
-            if c[j]:
-                v ^= basis[j]
-        f = [_sympl(v, basis[j]) for j in range(m2)]
+        v = 0
+        for u, cj in zip(basis, c.tolist()):
+            if cj:
+                v ^= u
+        f = [sympl(v, u) for u in basis]
         p = f.index(1)
         # w uniform over {<v,w> = 1}: pivot + random kernel combination,
         # kernel basis {basis_j + f_j basis_p : j != p}
-        w = basis[p].copy()
+        w = basis[p]
         t = g.integers(0, 2, size=m2, dtype=np.uint8)
-        for j in range(m2):
-            if j == p or not t[j]:
-                continue
-            w ^= basis[j]
-            if f[j]:
-                w ^= basis[p]
+        for j, (u, tj) in enumerate(zip(basis, t.tolist())):
+            if j != p and tj:
+                w ^= u ^ (basis[p] if f[j] else 0)
         x_rows.append(v)
         z_rows.append(w)
-        # project the whole residual basis onto the complement of (v, w),
-        # then restore a standard-paired basis
-        proj = []
-        for u in basis:
-            u = u.copy()
-            if _sympl(u, w):
-                u ^= v
-            if _sympl(u, v):
-                u ^= w
-            proj.append(u)
-        new_a, new_b = _standard_pairs(proj)
-        if len(new_a) != m2 // 2 - 1:
+        # re-pair the complement of (v, w) by symplectic Gram-Schmidt; the form
+        # is nondegenerate there, so the first vector always pairs with a later one
+        cand = project(basis, v, w)
+        a_rows, b_rows = [], []
+        while cand:
+            j = next(k for k, u in enumerate(cand) if sympl(cand[0], u))
+            a_rows.append(cand[0])
+            b_rows.append(cand[j])
+            cand = project(cand[1:j] + cand[j + 1:], cand[0], cand[j])
+        if len(a_rows) != m2 // 2 - 1:
             raise RuntimeError("symplectic complement extraction failed")
-        basis = new_a + new_b
-    mat = np.array(x_rows + z_rows, dtype=np.uint8)
+        basis = a_rows + b_rows
+    mat = np.array([[r >> k & 1 for k in range(2 * n)] for r in x_rows + z_rows], dtype=np.uint8)
     signs = g.integers(0, 2, size=2 * n, dtype=np.uint8)
     return CliffordTableau(n, mat, signs)
 
@@ -312,38 +286,66 @@ def enumerate_clifford_group(n):
     return [CliffordTableau(n, mat[i], sign[i], word=words[i]) for i in range(len(mat))]
 
 
+def tableaux_to_dense(mat, signs, out):
+    """Dense unitaries of a batch of n-qubit tableaux, written into out.
+
+    mat has shape (B, 2n, 2n), signs (B, 2n), out (B, 2^n, 2^n). Column 0 is
+    U|0...0>, the state stabilized by the signed Z images: the first basis
+    vector with a nonzero projection, normalized. Column b is the X image of
+    the site of b's lowest set bit applied to column b ^ low(b), built one bit
+    level at a time from the most significant down, one gather per level for
+    every column of that level in the whole batch. The global phase makes the
+    first nonzero entry of column 0 positive real.
+    """
+    bsz, n = len(mat), mat.shape[1] // 2
+    d = 1 << n
+    weights = 1 << np.arange(n - 1, -1, -1)  # site 0 = most significant bit
+    masks = mat.reshape(bsz, 2 * n, 2, n) @ weights
+    xm, zm = masks[:, :, 0], masks[:, :, 1]  # (B, 2n) x and z masks of each image
+    phase = np.array(PHASES)[(2 * signs + np.bitwise_count(xm & zm)) % 4][:, :, None, None]
+    src = np.arange(d) ^ xm[:, :, None]  # (B, 2n, d)
+    sign = np.where(np.bitwise_count(src & zm[:, :, None]) % 2, -1.0, 1.0)[..., None]
+    batch = np.arange(bsz)[:, None]
+
+    def apply(r, vec):
+        """Generator image r of each tableau on its columns vec (B, d, L),
+        with the operations of apply_to_statevector."""
+        return phase[:, r] * vec[batch, src[:, r]] * sign[:, r]
+
+    found = np.zeros(bsz, dtype=bool)
+    start = 0
+    while not found.all():  # trial basis vectors in blocks of 8, 16, 32, ...
+        if start == d:
+            raise RuntimeError("failed to construct stabilizer state")
+        trials = np.arange(start, min(d, 2 * start + 8))
+        v = np.zeros((bsz, d, len(trials)), dtype=complex)
+        v[:, trials, np.arange(len(trials))] = 1.0
+        for i in range(n):
+            v = 0.5 * (v + apply(n + i, v))
+        nrm = np.sqrt(np.sum((v.conj() * v).real, axis=1))  # exact: dyadic entries
+        hit = nrm > 1e-8
+        new = hit.any(axis=1) & ~found
+        first = np.argmax(hit, axis=1)[new]
+        out[new, :, 0] = v[new, :, first] / nrm[new, first][:, None]  # out[:, :, b] is column b
+        found |= new
+        start = trials[-1] + 1
+    for j in range(n):
+        low = 1 << (n - 1 - j)
+        out[:, :, low :: 2 * low] = apply(j, out[:, :, :: 2 * low])
+    nz = np.argmax(np.abs(out[:, :, 0]) > 1e-12, axis=1)
+    pivot = out[batch[:, 0], nz, 0]
+    np.multiply(out, (np.abs(pivot) / pivot)[:, None, None], out=out)
+    return out
+
+
 def tableau_to_dense(t):
     """Dense unitary realizing the tableau, global phase fixed by making the
-    first nonzero entry of column 0 positive real."""
-    n = t.n
-    if n > 12:
+    first nonzero entry of column 0 positive real: the one-tableau case of
+    tableaux_to_dense."""
+    if t.n > 12:
         raise ValueError("dense conversion limited to N <= 12")
-    d = 1 << n
-    z_imgs = [t.row_pauli(n + i) for i in range(n)]
-    x_imgs = [t.row_pauli(i) for i in range(n)]
-    # |phi0> = U|0...0>: the state stabilized by the signed Z images
-    phi0 = None
-    for trial in range(d):
-        v = np.zeros(d, dtype=complex)
-        v[trial] = 1.0
-        for gop in z_imgs:
-            v = 0.5 * (v + apply_to_statevector(gop, v))
-        nrm = np.linalg.norm(v)
-        if nrm > 1e-8:
-            phi0 = v / nrm
-            break
-    if phi0 is None:
-        raise RuntimeError("failed to construct stabilizer state")
-    cols = np.zeros((d, d), dtype=complex)
-    cols[:, 0] = phi0
-    for b in range(1, d):
-        low = b & -b
-        j = n - low.bit_length()  # site index of the lowest set bit
-        cols[:, b] = apply_to_statevector(x_imgs[j], cols[:, b ^ low])
-    u = cols
-    nz = np.flatnonzero(np.abs(u[:, 0]) > 1e-12)[0]
-    u = u * (np.abs(u[nz, 0]) / u[nz, 0])
-    return u
+    d = 1 << t.n
+    return tableaux_to_dense(t.mat[None], t.signs[None], np.empty((1, d, d), dtype=complex))[0]
 
 
 def circuit_to_json(gates):
