@@ -14,6 +14,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 
@@ -39,9 +40,10 @@ def _load_config(path):
     return cfg
 
 
-def _resolve(cfg, field, override, default, kind):
+def _resolve(cfg, field, override, default, kind, bounds=None):
     """Merge precedence: CLI flag > config field > default. kind validates:
-    "int", "int_list", "float_list", or a tuple of the allowed strings."""
+    "int", "int_list", "float_list", or a tuple of the allowed strings;
+    bounds = (lo, hi) also rejects any number outside [lo, hi]."""
     val = override if override is not None else cfg.get(field, default)
     try:
         if kind == "int_list":
@@ -60,6 +62,10 @@ def _resolve(cfg, field, override, default, kind):
             val = int(val)
         elif val not in kind:
             raise ValueError(f"{val!r} is not one of {', '.join(kind)}")
+        if bounds is not None:
+            for x in val if isinstance(val, list) else [val]:
+                if not bounds[0] <= x <= bounds[1]:
+                    raise ValueError(f"{x} is not in [{bounds[0]}, {bounds[1]}]")
     except (TypeError, ValueError) as exc:
         raise click.ClickException(json.dumps({"error": "config_field", "field": field, "message": str(exc)}))
     return val
@@ -126,8 +132,8 @@ def common_options(fn):
 @click.option("--n-list", default=None, help="Comma-separated system sizes.")
 @click.option("--chi-list", default=None, help="Comma-separated bond dimensions (powers of two).")
 @click.option("--sre-list", default=None, help="Renyi indices, subset of 2,3.")
-@click.option("--boundary", type=click.Choice(["obc", "pbc"]), default=None)
-@click.option("--method", type=click.Choice(["analytic", "mc"]), default=None)
+@click.option("--boundary", default=None, help="obc or pbc.")
+@click.option("--method", default=None, help="analytic or mc.")
 @click.option("--samples", type=int, default=None, help="MC sample count (method=mc).")
 def magic_scan(config_path, out, seed, n_list, chi_list, sre_list, boundary, method, samples):
     """Magic deviation from Haar per (N, chi, n), with power-law fits per N."""
@@ -135,16 +141,15 @@ def magic_scan(config_path, out, seed, n_list, chi_list, sre_list, boundary, met
     from .replica import delta_chi, fit_power_law, pbc_delta
 
     cfg = _load_config(config_path)
-    ns = _resolve(cfg, "n_list", n_list, [8, 16], "int_list")
+    ns = _resolve(cfg, "n_list", n_list, [8, 16], "int_list", (1, math.inf))
     chis = _resolve(cfg, "chi_list", chi_list, [2, 4, 8, 16], "int_list")
-    sres = _resolve(cfg, "sre_list", sre_list, [2, 3], "int_list")
+    sres = _resolve(cfg, "sre_list", sre_list, [2, 3], "int_list", (2, 3))
     boundary = _resolve(cfg, "boundary", boundary, "obc", ("obc", "pbc"))
     method = _resolve(cfg, "method", method, "analytic", ("analytic", "mc"))
-    samples = _resolve(cfg, "samples", samples, 2000, "int")
+    # mc's standard error needs two samples; analytic reads no samples
+    samples = _resolve(cfg, "samples", samples, 2000, "int", (2, math.inf) if method == "mc" else None)
     seed = _resolve(cfg, "seed", seed, 0, "int")
     _check_chis(chis)
-    if any(nn not in (2, 3) for nn in sres):
-        raise click.ClickException(json.dumps({"error": "config_field", "field": "sre_list", "message": "indices must be 2 or 3"}))
     if boundary == "pbc" and method == "mc":
         raise click.ClickException(json.dumps({"error": "config_field", "field": "method", "message": "mc supports obc only"}))
     if method == "mc" and max(ns) > MAX_SRE_QUBITS:
@@ -186,19 +191,19 @@ def magic_scan(config_path, out, seed, n_list, chi_list, sre_list, boundary, met
 def brickwork_cmd(config_path, out, seed, workers, n_qubits, chi_list, steps, trajectories):
     """Brickwork Haar circuit on a capped MPS: delta^(n)(t) and entropy curves."""
     from .brickwork import brickwork_scan
+    from .dense import MAX_SRE_QUBITS
 
     cfg = _load_config(config_path)
-    n_qubits = _resolve(cfg, "n", n_qubits, 8, "int")
+    workers = _workers(workers)
+    n_qubits = _resolve(cfg, "n", n_qubits, 8, "int", (1, MAX_SRE_QUBITS))
     chis = _resolve(cfg, "chi_list", chi_list, [2, 4, 8, 16], "int_list")
-    steps = _resolve(cfg, "steps", steps, 24, "int")
-    trajectories = _resolve(cfg, "trajectories", trajectories, 100, "int")
+    steps = _resolve(cfg, "steps", steps, 24, "int", (0, math.inf))
+    trajectories = _resolve(cfg, "trajectories", trajectories, 100, "int", (50, math.inf))
     seed = _resolve(cfg, "seed", seed, 0, "int")
     _check_chis(chis)
-    if trajectories < 50:
-        raise click.ClickException(json.dumps({"error": "config_field", "field": "trajectories", "message": "need >= 50"}))
     resolved = {"experiment": "brickwork", "n": n_qubits, "chi_list": chis, "steps": steps,
                 "trajectories": trajectories, "seed": seed}
-    rows, plateaus = brickwork_scan(n_qubits, chis, steps, trajectories, Rng(seed), workers=_workers(workers))
+    rows, plateaus = brickwork_scan(n_qubits, chis, steps, trajectories, Rng(seed), workers=workers)
     comments = [
         "plateau chi={chi} delta2={delta2_plateau!r} se={delta2_se!r} "
         "delta3={delta3_plateau!r} entropy={entropy_plateau!r}".format(**p)
@@ -223,12 +228,13 @@ def design_audit(config_path, out, seed, n_qubits, chi_list, pairs):
         haar_sampler,
         stab_sampler,
     )
+    from .dense import MAX_DENSE_QUBITS
     from .replica import delta_chi
 
     cfg = _load_config(config_path)
-    n_qubits = _resolve(cfg, "n", n_qubits, 2, "int")
+    n_qubits = _resolve(cfg, "n", n_qubits, 2, "int", (1, MAX_DENSE_QUBITS))
     chis = _resolve(cfg, "chi_list", chi_list, [1, 2], "int_list")
-    pairs = _resolve(cfg, "pairs", pairs, 2000, "int")
+    pairs = _resolve(cfg, "pairs", pairs, 2000, "int", (2, math.inf))
     seed = _resolve(cfg, "seed", seed, 0, "int")
     _check_chis(chis)
     resolved = {"experiment": "design-audit", "n": n_qubits, "chi_list": chis, "pairs": pairs, "seed": seed}
@@ -266,16 +272,18 @@ def design_audit(config_path, out, seed, n_qubits, chi_list, pairs):
 def cooling_cmd(config_path, out, seed, workers, n_list, vt_grid, trajectories, velocity):
     """T-doped circuit states cooled by greedy two-qubit Clifford search."""
     from .cooling import cooling_scan
+    from .dense import MAX_DENSE_QUBITS
 
     cfg = _load_config(config_path)
-    ns = _resolve(cfg, "n_list", n_list, [8], "int_list")
-    grid = _resolve(cfg, "vt_grid", vt_grid, [0.0, 0.5, 1.0, 2.0], "float_list")
-    trajectories = _resolve(cfg, "trajectories", trajectories, 20, "int")
-    velocity = _resolve(cfg, "v", velocity, 1, "int")
+    workers = _workers(workers)
+    ns = _resolve(cfg, "n_list", n_list, [8], "int_list", (2, MAX_DENSE_QUBITS))
+    grid = _resolve(cfg, "vt_grid", vt_grid, [0.0, 0.5, 1.0, 2.0], "float_list", (0.0, math.inf))
+    trajectories = _resolve(cfg, "trajectories", trajectories, 20, "int", (2, math.inf))
+    velocity = _resolve(cfg, "v", velocity, 1, "int", (1, math.inf))
     seed = _resolve(cfg, "seed", seed, 0, "int")
     resolved = {"experiment": "cooling", "n_list": ns, "vt_grid": grid,
                 "trajectories": trajectories, "v": velocity, "seed": seed}
-    rows = cooling_scan(ns, grid, trajectories, Rng(seed), v=velocity, workers=_workers(workers))
+    rows = cooling_scan(ns, grid, trajectories, Rng(seed), v=velocity, workers=workers)
     _write_csv(out, ["n", "v", "t_count", "vt_over_n", "input_sn", "input_sn_se",
                      "cooled_sn", "cooled_sn_se", "trajectories"], rows, resolved, seed)
 

@@ -5,9 +5,11 @@ No cut's entropy changes under single-qubit gates applied after the
 two-qubit gate, so the search at a bond only needs one gate per coset
 (C1 x C1) g of the 576 local Cliffords in the 11520-element two-qubit group:
 20 candidates in all (1 + 9 + 9 + 1 in the local, CNOT-, iSWAP- and
-SWAP-like classes). Dense statevectors throughout (N <= 12); the 20 cut
-matrices at a bond come from one einsum, and a stacked eigvalsh on the
-small side of the cut (dimension <= 2^(N/2)) yields all entropies at once.
+SWAP-like classes). Each candidate is an element of the enumerated group,
+`COSETS` holds its index, and the circuit emitted for it is its generator
+word. Dense statevectors throughout (N <= 12); the 20 cut matrices at a
+bond come from one einsum, and a stacked eigvalsh on the small side of the
+cut (dimension <= 2^(N/2)) yields all entropies at once.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .dense import (
     zero_state,
 )
 from .kernels import indexed_map
-from .tableau import tableau_from_circuit, tableau_to_dense
+from .tableau import enumerate_clifford_group
 
 _T_GATE = np.diag([1.0, np.exp(1j * np.pi / 4)])
 
@@ -99,44 +101,21 @@ def _max_cut_entropy(psi):
     return max(entanglement_entropy(psi, c) for c in range(1, n))
 
 
-# One circuit per coset (C1 x C1) g of the two-qubit Clifford group, gates
-# first-applied first: the first member of each coset in the order of
-# enumerate_clifford_group(2), whose indices are 0, 5, 6, 10, 11, 20, 23, 28,
-# 32, 44, 49, 53, 58, 83, 102, 116, 177, 219, 252 and 784. Identity first.
-COSET_CIRCUITS = (
-    (),
-    (("CNOT", (0, 1)),),
-    (("CNOT", (1, 0)),),
-    (("H", (0,)), ("CNOT", (0, 1))),
-    (("H", (0,)), ("CNOT", (1, 0))),
-    (("S", (0,)), ("CNOT", (1, 0))),
-    (("S", (1,)), ("CNOT", (0, 1))),
-    (("CNOT", (0, 1)), ("CNOT", (1, 0))),
-    (("CNOT", (1, 0)), ("CNOT", (0, 1))),
-    (("H", (0,)), ("S", (1,)), ("CNOT", (0, 1))),
-    (("H", (0,)), ("CNOT", (0, 1)), ("CNOT", (1, 0))),
-    (("H", (0,)), ("CNOT", (1, 0)), ("CNOT", (0, 1))),
-    (("H", (1,)), ("S", (0,)), ("CNOT", (1, 0))),
-    (("S", (0,)), ("CNOT", (0, 1)), ("CNOT", (1, 0))),
-    (("S", (1,)), ("CNOT", (1, 0)), ("CNOT", (0, 1))),
-    (("CNOT", (0, 1)), ("CNOT", (1, 0)), ("CNOT", (0, 1))),
-    (("H", (0,)), ("S", (1,)), ("CNOT", (1, 0)), ("CNOT", (0, 1))),
-    (("H", (1,)), ("S", (0,)), ("CNOT", (0, 1)), ("CNOT", (1, 0))),
-    (("S", (0,)), ("H", (0,)), ("S", (1,)), ("CNOT", (0, 1))),
-    (("S", (0,)), ("H", (0,)), ("S", (1,)), ("CNOT", (1, 0)), ("CNOT", (0, 1))),
-)
+# Index into enumerate_clifford_group(2) of the first member of each coset
+# (C1 x C1) g, in the enumeration's order: identity first.
+COSETS = (0, 5, 6, 10, 11, 20, 23, 28, 32, 44, 49, 53, 58, 83, 102, 116, 177, 219, 252, 784)
 
 
 @functools.cache
 def _coset_gates():
-    """Dense unitaries of COSET_CIRCUITS, stacked in one read-only array."""
-    gates = np.stack([tableau_to_dense(tableau_from_circuit(c, 2)) for c in COSET_CIRCUITS])
+    """Dense unitaries of the COSETS group elements, one read-only array."""
+    gates = dense_clifford_group(2)[list(COSETS)]
     gates.flags.writeable = False
     return gates
 
 
 def _candidate_entropies(psi, bond):
-    """Entropy across cut bond+1 for each COSET_CIRCUITS gate on (bond, bond+1).
+    """Entropy across cut bond+1 for each COSETS gate on (bond, bond+1).
 
     Returns a float array in table order. Works on the smaller side of the
     cut so the stacked eigenproblem stays <= 2^(N/2).
@@ -160,7 +139,7 @@ def cool(state, sweeps=None):
     """Greedy entanglement cooling by two-qubit Clifford search.
 
     Sweeps bonds left to right; at bond i it tries one gate per coset
-    (C1 x C1) g of the two-qubit Clifford group (COSET_CIRCUITS, 20 gates),
+    (C1 x C1) g of the two-qubit Clifford group (COSETS, 20 gates),
     which reaches every entropy the whole group reaches, and keeps the gate
     minimizing the entropy of the [0..i] | [i+1..N-1] cut. The gate kept is
     the lowest table entry within 1e-12 of the minimum, so float noise does
@@ -174,6 +153,7 @@ def cool(state, sweeps=None):
     if sweeps is None:
         sweeps = n
     gates = _coset_gates()
+    group = enumerate_clifford_group(2)  # group[COSETS[i]].word: gate i's circuit, last-applied first
     input_max = _max_cut_entropy(psi)
     trace = [input_max]
     circuit = []
@@ -188,7 +168,7 @@ def cool(state, sweeps=None):
             current = entanglement_entropy(psi, bond + 1)
             assert ents[idx] <= current + 1e-9, "accepted move increased the cut entropy"
             psi = apply_gate(psi, gates[idx], (bond, bond + 1))
-            circuit.extend((name, [bond + q for q in qubits]) for name, qubits in COSET_CIRCUITS[idx])
+            circuit.extend((name, [bond + q for q in qubits]) for name, qubits in reversed(group[COSETS[idx]].word))
             moved = True
         sweeps_run += 1
         trace.append(_max_cut_entropy(psi))

@@ -2,9 +2,7 @@
 design distance, and purity fluctuations for stabilizer, Haar and
 Clifford-enhanced ensembles.
 
-Dense statevectors (N <= 10) carry all Monte Carlo estimates; the
-tableau-plus-MPS contraction path is exposed separately for purities
-(`cmps_purity_via_pauli`) and cross-checked against the dense route.
+Dense statevectors (N <= 10) carry all Monte Carlo estimates.
 """
 
 from __future__ import annotations
@@ -16,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dense import dense_clifford_group, haar_state, purity
-from .mps import MpsState, pauli_expectation, sample_rmps_obc
-from .paulis import PauliString
+from .mps import MpsState, sample_rmps_obc
 from .tableau import CliffordTableau, random_clifford, tableau_to_dense
 
 
@@ -49,24 +46,6 @@ def sample_cmps(n, chi_max, rng):
 def cmps_statevector(sample):
     """Dense 2^N vector of the composite state (N <= 12)."""
     return tableau_to_dense(sample.tableau) @ sample.mps.to_statevector()
-
-
-def cmps_purity_via_pauli(sample, cut):
-    """Tr[rho_A^2] for A = sites [0, cut) without densifying the Clifford:
-    2^-|A| sum over Pauli strings on A of <psi|sigma_A x 1|psi>^2, each
-    expectation evaluated by pulling sigma through the tableau and
-    contracting the MPS."""
-    n = sample.n
-    tinv = sample.tableau.inverse()
-    total = 0.0
-    for xb in range(1 << cut):
-        for zb in range(1 << cut):
-            x = [(xb >> (cut - 1 - j)) & 1 for j in range(cut)] + [0] * (n - cut)
-            z = [(zb >> (cut - 1 - j)) & 1 for j in range(cut)] + [0] * (n - cut)
-            sig = PauliString.hermitian(x, z)
-            val = pauli_expectation(sample.mps, tinv.image_of(sig))
-            total += val * val
-    return total / (1 << cut)
 
 
 # ------------------------------------------------------------- samplers

@@ -46,23 +46,6 @@ class PauliString:
         z = np.asarray(z, dtype=np.uint8) % 2
         return cls(x, z, int(np.dot(x.astype(int), z.astype(int))) % 4)
 
-    @classmethod
-    def from_label(cls, label):
-        """Build from a string like 'XIZY' (site 0 first)."""
-        x, z = [], []
-        for c in label.upper():
-            if c == "I":
-                x.append(0), z.append(0)
-            elif c == "X":
-                x.append(1), z.append(0)
-            elif c == "Z":
-                x.append(0), z.append(1)
-            elif c == "Y":
-                x.append(1), z.append(1)
-            else:
-                raise ValueError(f"bad Pauli letter {c!r}")
-        return cls.hermitian(x, z)
-
     @property
     def phase(self):
         return PHASES[self.phase_pow]

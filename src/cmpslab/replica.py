@@ -379,16 +379,16 @@ def fit_power_law(points, exponent=None):
     return FitResult(float(coef[0]), float(math.exp(coef[1])), residual)
 
 
-def symmetric_projector_pauli_trace(d, sigma_is_identity, k=4):
-    """Tr[sigma^{(x)k} P_symm^(k)] for a single-site Pauli sigma.
+def symmetric_projector_pauli_trace(d, sigma_is_identity):
+    """Tr[sigma^{(x)4} P_symm^(4)] for a single-site Pauli sigma.
 
-    Uses the cycle expansion (1/k!) sum_pi prod_cycles Tr[sigma^{|c|}], with
+    Uses the cycle expansion (1/4!) sum_pi prod_cycles Tr[sigma^{|c|}], with
     Tr[sigma^m] = d for the identity and d * [m even] for traceless sigma.
     """
-    reps, sizes = sk_classes(k)
+    reps, sizes = sk_classes(4)
     total = 0.0
     for rep, size in zip(reps, sizes):
         lengths = _cycle_lengths(rep)
         if sigma_is_identity or all(ln % 2 == 0 for ln in lengths):
             total += size * float(d) ** len(lengths)
-    return total / math.factorial(k)
+    return total / math.factorial(4)

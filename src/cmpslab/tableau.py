@@ -83,7 +83,9 @@ class CliffordTableau:
         return PauliString(out_x, out_z, phase)
 
     def compose(self, other):
-        """Tableau of U_self . U_other (conjugation self(other(P)))."""
+        """Tableau of U_self . U_other (conjugation self(other(P))). No program
+        path calls it: it is the reference the row-update rules are tested
+        against."""
         if self.n != other.n:
             raise ValueError("qubit count mismatch")
         n = self.n
@@ -156,13 +158,6 @@ def _conjugate_rows(mat, signs, name, qubits, n):
         z[..., c] ^= z[..., t]
     else:
         raise ValueError(f"{name!r} is not a Clifford generator")
-
-
-def gate_tableau(name, qubits, n):
-    """Tableau of a named Clifford generator embedded on n qubits."""
-    t = CliffordTableau.identity(n)
-    _conjugate_rows(t.mat, t.signs, name, qubits, n)
-    return CliffordTableau(n, t.mat, t.signs, word=[(name, list(qubits))])
 
 
 def random_clifford(n, rng):
@@ -372,10 +367,13 @@ def circuit_from_json(text):
 
 
 def tableau_from_circuit(gates, n):
-    """Compose a gate list (Clifford gates only) into a tableau."""
+    """Tableau of a gate list (Clifford gates only, first-applied first): each
+    gate conjugates the rows of the identity tableau in turn, by the rules of
+    `_conjugate_rows`. The word lists the gates last-applied first."""
     t = CliffordTableau.identity(n)
     for name, qubits in gates:
         if name == "T":
             raise ValueError("T gate is not Clifford")
-        t = gate_tableau(name, qubits, n).compose(t)
+        _conjugate_rows(t.mat, t.signs, name, qubits, n)
+        t.word.insert(0, (name, list(qubits)))
     return t

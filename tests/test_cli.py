@@ -146,3 +146,31 @@ def test_mc_beyond_dense_limit_is_machine_readable(runner, tmp_path):
     payload = _config_error(runner, tmp_path, {"n_list": [8, 16], "chi_list": [2], "method": "mc"})
     assert payload["error"] == "config_field"
     assert payload["field"] == "n_list"
+
+
+@pytest.mark.parametrize(
+    "args,field",
+    [
+        (["design-audit", "--n", "13"], "n"),
+        (["design-audit", "--n", "0"], "n"),
+        (["design-audit", "--pairs", "1"], "pairs"),
+        (["brickwork", "--n", "11"], "n"),
+        (["cooling", "--n-list", "13"], "n_list"),
+        (["cooling", "--n-list", "1"], "n_list"),
+        (["cooling", "--trajectories", "1"], "trajectories"),
+        (["cooling", "--v", "0"], "v"),
+        (["magic-scan", "--n-list", "-3"], "n_list"),
+        (["magic-scan", "--method", "mc", "--samples", "1"], "samples"),
+        (["magic-scan", "--boundary", "periodic"], "boundary"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+)
+def test_out_of_range_flag_is_machine_readable(runner, args, field):
+    result = runner.invoke(main, args + ["--out", "-"])
+    assert result.exit_code != 0
+    assert "Traceback" not in result.output
+    line = result.output.split("Error: ", 1)[1]
+    assert line.count("\n") == 1
+    payload = json.loads(line)
+    assert payload["error"] == "config_field"
+    assert payload["field"] == field

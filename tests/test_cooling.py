@@ -100,8 +100,9 @@ def test_workers_do_not_change_results():
     assert serial == threaded
 
 
-def test_coset_table_rebuilt_from_enumeration():
-    from cmpslab.cooling import COSET_CIRCUITS, _coset_gates
+def test_coset_table_rebuilt_from_enumeration(monkeypatch):
+    from cmpslab import cooling
+    from cmpslab.cooling import COSETS, _coset_gates
     from cmpslab.dense import dense_clifford_group
     from cmpslab.tableau import enumerate_clifford_group, tableau_from_circuit
 
@@ -122,12 +123,17 @@ def test_coset_table_rebuilt_from_enumeration():
             coset[members] = len(firsts)
             firsts.append(i)
     assert np.all(np.bincount(coset) == 576)
-    assert len(firsts) == len(COSET_CIRCUITS) == 20
+    assert list(COSETS) == firsts
+    assert _coset_gates().tobytes() == group[firsts].tobytes()
+    # cool emits the chosen coset's word, first-applied gate first
     tabs = enumerate_clifford_group(2)
-    for circuit, i in zip(COSET_CIRCUITS, firsts):
-        assert [(name, list(q)) for name, q in circuit] == list(reversed(tabs[i].word))
-        assert tableau_from_circuit(circuit, 2) == tabs[i]
-    assert np.array_equal(_coset_gates(), group[firsts])
+    for k, i in enumerate(COSETS):
+        ents = np.ones(len(COSETS))
+        ents[k] = 0.0
+        monkeypatch.setattr(cooling, "_candidate_entropies", lambda psi, bond: ents)
+        emitted = cool(zero_state(2), sweeps=1).circuit
+        assert emitted == list(reversed(tabs[i].word))
+        assert tableau_from_circuit(emitted, 2) == tabs[i]
     # class split 1 + 9 + 9 + 1: operator Schmidt rank 1 (local), 2 (CNOT-like),
     # 4 (iSWAP- and SWAP-like)
     ranks = np.sum(schmidt(_coset_gates()) > 1e-9, axis=1)

@@ -1,6 +1,11 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cmpslab
 from cmpslab.dense import (
     apply_gate,
     build_q_and_psym,
@@ -26,6 +31,32 @@ def test_pauli_spectrum_matches_brute_force():
     spec = pauli_spectrum(psi)
     brute = np.array([pauli_expectation_dense(psi, p) for p in all_hermitian_paulis(3)])
     assert np.allclose(np.sort(spec.ravel()), np.sort(brute), atol=1e-10)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pauli_spectrum_matches_sylvester_hadamard(n):
+    psi = haar_state(n, Rng(40 + n))
+    d = 1 << n
+    h = np.ones((1, 1))
+    for _ in range(n):
+        h = np.kron(h, [[1.0, 1.0], [1.0, -1.0]])  # h[s, z] = (-1)^{|s&z|}
+    idx = np.arange(d)
+    v = psi.conj()[None, :] * psi[idx[:, None] ^ idx[None, :]]
+    phase = (-1j) ** (np.bitwise_count(idx[:, None] & idx[None, :]) % 4)
+    assert pauli_spectrum(psi).tobytes() == ((v @ h) * phase).real.tobytes()
+
+
+def test_package_imports_no_scipy():
+    script = (
+        "import importlib, pkgutil, sys\n"
+        f"sys.path.insert(0, {str(Path(cmpslab.__file__).parents[1])!r})\n"
+        "import cmpslab\n"
+        "for m in pkgutil.iter_modules(cmpslab.__path__):\n"
+        "    importlib.import_module('cmpslab.' + m.name)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_t_state_magic():
@@ -95,8 +126,8 @@ def test_clifford_channel_exact_n1():
 
 
 def test_shared_tables_are_read_only():
-    from cmpslab.dense import _xor_and_phase, dense_clifford_group
+    from cmpslab.dense import _spectrum_tables, dense_clifford_group
 
-    for table in (*_xor_and_phase(4), dense_clifford_group(1)):
+    for table in (*_spectrum_tables(4), dense_clifford_group(1)):
         with pytest.raises(ValueError):
             table[0, 0] = 0

@@ -3,11 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from cmpslab.dense import purity
 from cmpslab.ensembles import (
-    cmps_purity_via_pauli,
     cmps_sampler,
-    cmps_statevector,
     design_distance_delta4,
     frame_potential_exact_stab,
     frame_potential_mc,
@@ -15,7 +12,6 @@ from cmpslab.ensembles import (
     haar_sampler,
     purity_fluctuation_formulas,
     purity_fluctuation_mc,
-    sample_cmps,
     stab_purity_exhaustive,
     stab_sampler,
     stab_states_exhaustive,
@@ -62,17 +58,6 @@ def test_haar_frame_potential_mc():
 def test_stab_sampler_matches_exhaustive():
     est = frame_potential_mc(stab_sampler(2), 4, 2500, Rng(2))
     assert abs(est.mean - 1 / 32) < 4 * est.std_error
-
-
-def test_cmps_purity_pauli_equals_dense():
-    rng = Rng(3)
-    for i in range(4):
-        s = sample_cmps(3, 2, rng.child(i))
-        psi = cmps_statevector(s)
-        for cut in (1, 2):
-            assert cmps_purity_via_pauli(s, cut) == pytest.approx(
-                purity(psi, cut), abs=1e-10
-            )
 
 
 def test_design_distance_examples():

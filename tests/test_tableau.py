@@ -12,7 +12,6 @@ from cmpslab.tableau import (
     circuit_to_json,
     conjugate_pauli,
     enumerate_clifford_group,
-    gate_tableau,
     random_clifford,
     tableau_from_circuit,
     tableau_to_dense,
@@ -69,7 +68,7 @@ def dense_pauli(p):
 @pytest.mark.parametrize("name,qubits", [("H", [0]), ("S", [1]), ("CNOT", [0, 1]), ("CNOT", [1, 0])])
 def test_gate_conjugation_matches_dense(name, qubits):
     n = 2
-    t = gate_tableau(name, qubits, n)
+    t = tableau_from_circuit([(name, qubits)], n)
     u = embed(DENSE[name], qubits, n)
     for idx in range(16):
         p = hermitian_pauli_from_index(n, idx & 3, idx >> 2)
@@ -267,6 +266,39 @@ def test_tableau_from_circuit_matches_composition():
         got = dense_pauli(conjugate_pauli(t, p))
         want = u.conj().T @ dense_pauli(p) @ u
         assert np.allclose(got, want, atol=1e-10)
+
+
+def one_gate_tableau(name, qubits, n):
+    """Tableau of one generator, written from its Pauli images."""
+    mat = np.eye(2 * n, dtype=np.uint8)
+    if name == "H":
+        (q,) = qubits
+        mat[[q, n + q]] = mat[[n + q, q]]  # X <-> Z
+    elif name == "S":
+        (q,) = qubits
+        mat[q, n + q] = 1  # X -> Y
+    else:
+        c, t = qubits
+        mat[c, t] = 1  # X_c -> X_c X_t
+        mat[n + t, n + c] = 1  # Z_t -> Z_c Z_t
+    return CliffordTableau(n, mat, np.zeros(2 * n, dtype=np.uint8), word=[(name, list(qubits))])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_tableau_from_circuit_matches_compose_chain(n):
+    gen = np.random.default_rng(100 + n)
+    for _ in range(40):
+        gates = []
+        for _ in range(int(gen.integers(0, 16))):
+            name = ["H", "S", "CNOT"][int(gen.integers(3 if n > 1 else 2))]
+            qubits = gen.choice(n, size=2 if name == "CNOT" else 1, replace=False).tolist()
+            gates.append((name, qubits))
+        chain = CliffordTableau.identity(n)
+        for name, qubits in gates:
+            chain = one_gate_tableau(name, qubits, n).compose(chain)
+        t = tableau_from_circuit(gates, n)
+        assert t.key() == chain.key()
+        assert t.word == chain.word
 
 
 def test_tableau_from_circuit_rejects_t():
