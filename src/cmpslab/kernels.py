@@ -26,8 +26,9 @@ class Rng:
         self.gen = np.random.Generator(np.random.PCG64(self._seq))
 
     def child(self, index):
-        """Independent stream for trajectory `index`."""
-        seq = np.random.SeedSequence(self.seed, spawn_key=(int(index),))
+        """Independent stream for trajectory `index`, keyed by this stream's
+        whole path from the root, so nested children never coincide."""
+        seq = np.random.SeedSequence(self.seed, spawn_key=self._seq.spawn_key + (int(index),))
         return Rng(self.seed, _seq=seq)
 
     # passthroughs used throughout the package

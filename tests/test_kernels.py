@@ -3,6 +3,9 @@ import pytest
 
 from cmpslab.kernels import Rng, haar_unitary, indexed_map, svd_truncate
 
+# first 62-bit draw of Rng(7).child(0), recorded when child keys were (index,)
+ROOT_CHILD_DRAW = 3679476056639351524
+
 
 def test_rng_reproducible():
     a = Rng(7).normal(size=5)
@@ -17,6 +20,21 @@ def test_rng_children_independent_and_stable():
     assert not np.array_equal(c0, c1)
     # re-derived child streams are identical
     assert np.array_equal(c0, Rng(7).child(0).normal(size=4))
+
+
+def test_rng_grandchild_keyed_by_its_parent():
+    assert not np.array_equal(Rng(5).child(3).child(7).normal(size=4), Rng(5).child(7).normal(size=4))
+
+
+def test_rng_depth2_siblings_distinct():
+    parent = Rng(5).child(3)
+    draws = [parent.child(i).normal(size=4) for i in range(4)]
+    draws += [Rng(5).child(4).child(i).normal(size=4) for i in range(4)]
+    assert len({d.tobytes() for d in draws}) == len(draws)
+
+
+def test_root_children_keep_their_streams():
+    assert Rng(7).child(0).gen.integers(1 << 62) == ROOT_CHILD_DRAW
 
 
 def test_haar_unitary_is_unitary():
