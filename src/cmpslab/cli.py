@@ -321,13 +321,13 @@ def oracle_suite(seed):
             assert abs(obc_chain_value(6, 1, big_n, 3) / (10 / 7) ** big_n - 1) < 1e-10
 
     def class_sector_vs_full():
-        from .mps import BondProfile
+        from .mps import bond_dims
         from .replica import obc_chain_value, transfer_matrix_site
-        prof = BondProfile(8, 4)
+        dims = bond_dims(8, 4)
         v = np.zeros(720)
         v[0] = 1.0
         for i in range(1, 9):
-            v = transfer_matrix_site(6, prof[i - 1], prof[i], 3).matrix @ v
+            v = transfer_matrix_site(6, dims[i - 1], dims[i], 3).matrix @ v
         assert abs(obc_chain_value(6, 4, 8, 3) / np.sum(v) - 1) < 1e-12
 
     def chain_norm():

@@ -26,27 +26,18 @@ _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 _SITE_OPS = {(0, 0): np.eye(2, dtype=complex), (1, 0): _X, (0, 1): _Z, (1, 1): _X @ _Z}
 
 
-class BondProfile:
-    """Staircase bond dimensions chi_i = min(chi_max, 2^(N-i)), chi_0 = 1.
+def bond_dims(n, chi_max):
+    """Staircase bond dimensions [chi_0, ..., chi_N] with chi_0 = 1 and
+    chi_i = min(chi_max, 2^(N-i)).
 
     Only the right tail is forced to shrink (right-normalization needs
     chi_{i-1} <= 2 chi_i); the first gate therefore spans log2(2 chi_1)
     qubits, and chi_max = 2^(N-1) makes it cover the whole system, which is
     what recovers the Haar ensemble at maximal bond dimension.
     """
-
-    def __init__(self, n, chi_max):
-        if chi_max < 1 or (chi_max & (chi_max - 1)):
-            raise ValueError(f"chi_max must be a positive power of two, got {chi_max}")
-        self.n = n
-        self.chi_max = chi_max
-        self.dims = [1] + [min(chi_max, 2 ** (n - i)) for i in range(1, n + 1)]
-
-    def __iter__(self):
-        return iter(self.dims)
-
-    def __getitem__(self, i):
-        return self.dims[i]
+    if chi_max < 1 or (chi_max & (chi_max - 1)):
+        raise ValueError(f"chi_max must be a positive power of two, got {chi_max}")
+    return [1] + [min(chi_max, 2 ** (n - i)) for i in range(1, n + 1)]
 
 
 class MpsState:
@@ -95,50 +86,35 @@ def sample_rmps_obc(n, chi_max, rng):
     2*chi_i, restricted to the chi_{i-1} rows addressed by the zero ancillas
     and reshaped to (chi_{i-1}, 2, chi_i). States come out exactly normalized
     and right-normalized; chi_max = 2^(N-1) reproduces the Haar ensemble
-    (see BondProfile).
+    (see bond_dims).
     """
-    prof = BondProfile(n, chi_max)
+    dims = bond_dims(n, chi_max)
     ts = []
     for i in range(n):
-        chi_l, chi_r = prof[i], prof[i + 1]
+        chi_l, chi_r = dims[i], dims[i + 1]
         u = haar_unitary(2 * chi_r, rng)
         block = u[:chi_l, :]
         ts.append(block.reshape(chi_l, 2, chi_r))
     return MpsState(ts)
 
 
-def _right_canonicalize(tensors):
-    """Sweep right to left, leaving every tensor right-normalized. Returns the
-    new tensor list and the collected scalar (norm * phase) from bond 0."""
-    ts = [t.copy() for t in tensors]
-    carry = None
-    for i in range(len(ts) - 1, -1, -1):
-        t = ts[i]
-        if carry is not None:
-            t = np.einsum("asb,bc->asc", t, carry)
-        chi_l = t.shape[0]
-        m = t.reshape(chi_l, -1)
-        # LQ via QR of the conjugate transpose: m = L q with q rows orthonormal
-        qh, rh = np.linalg.qr(m.conj().T)
-        q = qh.conj().T
-        ts[i] = q.reshape(chi_l, 2, t.shape[2])
-        carry = rh.conj().T
-    return ts, complex(carry[0, 0])
-
-
 def apply_two_qubit_gate(state, gate, site, chi_max):
     """Apply a 4x4 gate on (site, site+1), truncating the middle bond.
 
-    Returns (new_state, discarded_weight). The state is renormalized after
-    truncation and returned in right-canonical form.
+    Returns (new_state, discarded_weight). Sites 0..site-1 are QR'd left to
+    move the orthogonality centre onto the gate, so the two-site SVD sees
+    true Schmidt values, which are renormalized after truncation. The right
+    factor of the SVD is right-normal and the sites past site+1 are not
+    touched, so only sites site..1 are right-normalized again, each by an
+    LQ whose L moves into its left neighbour; site 0 then carries the unit
+    norm. A gate at `site` costs 2*site factorizations besides its SVD.
     """
     if site < 0 or site + 1 >= state.n:
         raise ValueError(f"bad site {site} for N={state.n}")
     gate = np.asarray(gate, dtype=complex)
     if gate.shape != (4, 4):
         raise ValueError("expected a 4x4 gate")
-    ts = [t.copy() for t in state.tensors]
-    # left-normalize up to `site` so the two-site SVD sees true Schmidt values
+    ts = list(state.tensors)
     for i in range(site):
         chi_r = ts[i].shape[2]
         q, r = np.linalg.qr(ts[i].reshape(-1, chi_r))
@@ -149,15 +125,16 @@ def apply_two_qubit_gate(state, gate, site, chi_max):
     theta = np.einsum("asb,btc->astc", a, b).reshape(chi_l, 4, chi_r)
     theta = np.einsum("uv,avb->aub", gate, theta)
     u, s, vh, discarded = svd_truncate(theta.reshape(chi_l * 2, 2 * chi_r), chi_max)
-    nrm = np.linalg.norm(s)
-    s = s / nrm
-    keep = len(s)
-    ts[site] = (u * s).reshape(chi_l, 2, keep)
-    ts[site + 1] = vh.reshape(keep, 2, chi_r)
-    new_ts, scalar = _right_canonicalize(ts)
-    # keep the phase, drop the modulus (already renormalized above)
-    new_ts[0] = new_ts[0] * (scalar / abs(scalar))
-    return MpsState(new_ts), float(discarded)
+    s = s / np.linalg.norm(s)
+    ts[site] = (u * s).reshape(chi_l, 2, len(s))
+    ts[site + 1] = vh.reshape(len(s), 2, chi_r)
+    for i in range(site, 0, -1):
+        # LQ via QR of the conjugate transpose: ts[i] = L q, q right-normal
+        chi_r = ts[i].shape[2]
+        qh, rh = np.linalg.qr(ts[i].reshape(ts[i].shape[0], -1).conj().T)
+        ts[i] = qh.conj().T.reshape(-1, 2, chi_r)
+        ts[i - 1] = np.einsum("asb,cb->asc", ts[i - 1], rh.conj())
+    return MpsState(ts), float(discarded)
 
 
 def pauli_expectation(state, p):
@@ -219,26 +196,22 @@ def entanglement_profile(state):
 
 
 def mps_from_statevector(psi):
-    """Exact right-canonical MPS from a dense 2^N vector: successive SVDs
-    that drop only singular values at or below 1e-14."""
+    """Exact right-canonical MPS of psi / |psi|, global phase included:
+    successive SVDs from the right, each right factor a site tensor, that
+    drop only singular values at or below 1e-14."""
     d = len(psi)
     n = d.bit_length() - 1
     if 1 << n != d:
         raise ValueError("state length is not a power of two")
     ts = []
-    rest = psi.reshape(1, -1)
-    chi_l = 1
-    for i in range(n - 1):
-        m = rest.reshape(chi_l * 2, -1)
-        u, s, vh, _ = svd_truncate(m, 1 << (n // 2), 1e-14)
-        keep = len(s)
-        ts.append(u.reshape(chi_l, 2, keep))
-        rest = (s[:, None] * vh)
-        chi_l = keep
-    ts.append(rest.reshape(chi_l, 2, 1))
-    new_ts, scalar = _right_canonicalize(ts)
-    new_ts[0] = new_ts[0] * (scalar / abs(scalar))
-    return MpsState(new_ts)
+    rest = psi.reshape(-1, 1)
+    for _ in range(n - 1):
+        chi_r = rest.shape[1]
+        u, s, vh, _ = svd_truncate(rest.reshape(-1, 2 * chi_r), 1 << (n // 2), 1e-14)
+        ts.append(vh.reshape(len(s), 2, chi_r))
+        rest = u * s
+    ts.append((rest / np.linalg.norm(rest)).reshape(1, 2, -1))
+    return MpsState(ts[::-1])
 
 
 def save_mps(state, path, seed=None):

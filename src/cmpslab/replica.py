@@ -276,16 +276,16 @@ def obc_chain_value(k, chi_max, n_sites, n=None, weight="pauli"):
     are class functions, so the chain runs on the class sector, where u
     becomes the vector of class sizes.
     """
-    from .mps import BondProfile
+    from .mps import bond_dims
 
     if n is None:
         n = k // 2
-    prof = BondProfile(n_sites, chi_max)
+    dims = bond_dims(n_sites, chi_max)
     _, sizes = sk_classes(k)
     v = np.zeros(len(sizes))
     v[0] = 1.0  # identity class
     for i in range(1, n_sites + 1):
-        v = _sector_float(k, prof[i - 1], prof[i], n, weight) @ v
+        v = _sector_float(k, dims[i - 1], dims[i], n, weight) @ v
     return float(sizes @ v)
 
 

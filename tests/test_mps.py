@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from cmpslab.dense import entanglement_entropy, haar_state, pauli_expectation_dense, purity
+from cmpslab.dense import apply_gate, entanglement_entropy, haar_state, pauli_expectation_dense, purity
 from cmpslab.kernels import Rng, haar_unitary
 from cmpslab.mps import (
-    BondProfile,
     MpsState,
     apply_two_qubit_gate,
     bipartition_purity,
+    bond_dims,
     entanglement_profile,
     load_mps,
     mps_from_statevector,
@@ -19,21 +19,24 @@ from cmpslab.paulis import hermitian_pauli_from_index
 
 
 def test_bond_profile_shapes():
-    assert BondProfile(6, 8).dims == [1, 8, 8, 8, 4, 2, 1]
-    assert BondProfile(4, 1).dims == [1, 1, 1, 1, 1]
+    assert bond_dims(6, 8) == [1, 8, 8, 8, 4, 2, 1]
+    assert bond_dims(4, 1) == [1, 1, 1, 1, 1]
     # full cap recovers an unconstrained state
-    assert BondProfile(4, 8).dims == [1, 8, 4, 2, 1]
+    assert bond_dims(4, 8) == [1, 8, 4, 2, 1]
     with pytest.raises(ValueError):
-        BondProfile(4, 3)
+        bond_dims(4, 3)
+
+
+def _assert_right_normal(state):
+    for t in state.tensors:
+        m = t.reshape(t.shape[0], -1)
+        assert np.max(np.abs(m @ m.conj().T - np.eye(t.shape[0]))) < 1e-12
 
 
 def test_sampler_normalized_and_right_canonical():
-    rng = Rng(1)
-    st = sample_rmps_obc(6, 4, rng)
+    st = sample_rmps_obc(6, 4, Rng(1))
     assert st.norm() == pytest.approx(1.0, abs=1e-12)
-    for t in st.tensors:
-        m = t.reshape(t.shape[0], -1)
-        assert np.allclose(m @ m.conj().T, np.eye(t.shape[0]), atol=1e-12)
+    _assert_right_normal(st)
 
 
 def test_sampler_haar_at_full_cap():
@@ -64,23 +67,35 @@ def test_pauli_expectation_matches_dense():
 
 
 def test_gate_application_matches_dense():
+    # the full cap 2^(N/2) truncates nothing, so every site must match exactly
     rng = Rng(4)
-    psi = haar_state(4, rng)
+    psi = haar_state(6, rng)
     st = mps_from_statevector(psi)
-    g = haar_unitary(4, rng)
-    st2, disc = apply_two_qubit_gate(st, g, 1, chi_max=16)
-    assert disc == 0.0
-    big = np.kron(np.kron(np.eye(2), g), np.eye(2))
-    assert abs(np.vdot(st2.to_statevector(), big @ psi)) == pytest.approx(1.0, abs=1e-10)
+    for site in range(5):
+        g = haar_unitary(4, rng)
+        st2, disc = apply_two_qubit_gate(st, g, site, chi_max=8)
+        assert disc == 0.0
+        _assert_right_normal(st2)
+        want = apply_gate(psi, g, [site, site + 1])
+        assert np.max(np.abs(st2.to_statevector() - want)) < 1e-12
 
 
 def test_gate_truncation_renormalizes():
+    # chi_max = 1 truncates at every bond of a chi = 8 state
     rng = Rng(5)
-    st = sample_rmps_obc(6, 4, rng)
-    g = haar_unitary(4, rng)
-    st2, disc = apply_two_qubit_gate(st, g, 2, chi_max=2)
-    assert st2.norm() == pytest.approx(1.0, abs=1e-12)
-    assert 0 <= disc < 1
+    st = sample_rmps_obc(7, 8, rng)
+    for site in range(6):
+        st2, disc = apply_two_qubit_gate(st, haar_unitary(4, rng), site, chi_max=1)
+        assert 0 < disc < 1
+        _assert_right_normal(st2)
+        assert st2.norm() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_from_statevector_keeps_phase_and_normalizes():
+    psi = 3 * np.exp(0.7j) * haar_state(5, Rng(8))
+    st = mps_from_statevector(psi)
+    _assert_right_normal(st)
+    assert np.max(np.abs(st.to_statevector() - psi / np.linalg.norm(psi))) < 1e-12
 
 
 def test_cnot_makes_bell_pair():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cmpslab.kernels import Rng
-from cmpslab.mps import BondProfile
+from cmpslab.mps import bond_dims
 from cmpslab.replica import (
     delta_chi,
     fit_power_law,
@@ -158,11 +158,11 @@ def test_k6_leading_eigenvalue_precise_path():
 @pytest.mark.parametrize("k", [4, 6])
 @pytest.mark.parametrize("chi,n_sites", [(1, 8), (2, 10), (8, 64)])
 def test_class_sector_chain_matches_full_product(k, chi, n_sites):
-    prof = BondProfile(n_sites, chi)
+    dims = bond_dims(n_sites, chi)
     v = np.zeros(len(sk_tables(k)[0]))
     v[0] = 1.0
     for i in range(1, n_sites + 1):
-        v = transfer_matrix_site(k, prof[i - 1], prof[i], k // 2).matrix @ v
+        v = transfer_matrix_site(k, dims[i - 1], dims[i], k // 2).matrix @ v
     assert obc_chain_value(k, chi, n_sites) == pytest.approx(np.sum(v), rel=1e-12)
 
 
