@@ -357,7 +357,7 @@ def oracle_suite(seed):
         psi = haar_state(5, rng.child(2))
         state = mps_from_statevector(psi)
         for _ in range(20):
-            xb, zb = int(rng.integers(32)), int(rng.integers(32))
+            xb, zb = int(rng.gen.integers(32)), int(rng.gen.integers(32))
             p = hermitian_pauli_from_index(5, xb, zb)
             assert abs(pauli_expectation(state, p) - pauli_expectation_dense(psi, p)) < 1e-10
 

@@ -58,7 +58,7 @@ def _brickwork_clifford_layer(psi, parity, rng):
     n = num_qubits(psi)
     group = dense_clifford_group(2)
     for a in range(parity, n - 1, 2):
-        g = group[int(rng.integers(len(group)))]
+        g = group[int(rng.gen.integers(len(group)))]
         psi = apply_gate(psi, g, (a, a + 1))
     return psi
 
@@ -72,7 +72,7 @@ def build_doped_state(spec, rng):
         for _ in range(spec.v):
             psi = _brickwork_clifford_layer(psi, layer % 2, rng)
             layer += 1
-        q = int(rng.integers(spec.n))
+        q = int(rng.gen.integers(spec.n))
         psi = apply_gate(psi, _T_GATE, (q,))
     return psi
 

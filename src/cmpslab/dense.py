@@ -16,7 +16,7 @@ import functools
 
 import numpy as np
 
-from .paulis import PauliString, apply_to_statevector
+from .paulis import apply_to_statevector, hermitian_pauli_from_index
 from .tableau import enumerate_clifford_group, tableaux_to_dense
 
 MAX_DENSE_QUBITS = 12
@@ -188,9 +188,7 @@ def build_q_and_psym(n):
     q = np.zeros((dk, dk), dtype=complex)
     for xb in range(d):
         for zb in range(d):
-            x = [(xb >> (n - 1 - j)) & 1 for j in range(n)]
-            z = [(zb >> (n - 1 - j)) & 1 for j in range(n)]
-            sig = PauliString.hermitian(x, z).to_dense()
+            sig = hermitian_pauli_from_index(n, xb, zb).to_dense()
             s2 = np.kron(sig, sig)
             q += np.kron(s2, s2)
     q /= d**2

@@ -69,15 +69,14 @@ def cmps_sampler(n, chi_max):
 def stab_states_exhaustive(n):
     """All distinct N <= 2 stabilizer states (up to phase) as a read-only (m, 2^n) array.
 
-    Columns U|0...0> over the full Clifford group, phase-fixed so that the
-    first nonzero amplitude is real and positive, and deduplicated on their
-    amplitudes rounded to 9 decimals: 6 states at N=1, 60 at N=2. The
-    returned vectors are the unrounded ones. Built once per n.
+    Columns U|0...0> of `dense_clifford_group`, whose global phase
+    `tableaux_to_dense` already fixes (first nonzero amplitude real and
+    positive), deduplicated on their amplitudes rounded to 9 decimals: 6
+    states at N=1, 60 at N=2. The returned vectors are the unrounded ones.
+    Built once per n.
     """
     uniq = {}
     for v in dense_clifford_group(n)[:, :, 0]:
-        nz = np.flatnonzero(np.abs(v) > 1e-9)[0]
-        v = v * (np.abs(v[nz]) / v[nz])
         uniq.setdefault(np.round(v, 9).tobytes(), v)
     out = np.stack(list(uniq.values()))
     expected = {1: 6, 2: 60}[n]

@@ -31,16 +31,6 @@ class Rng:
         seq = np.random.SeedSequence(self.seed, spawn_key=self._seq.spawn_key + (int(index),))
         return Rng(self.seed, _seq=seq)
 
-    # passthroughs used throughout the package
-    def normal(self, *a, **kw):
-        return self.gen.normal(*a, **kw)
-
-    def integers(self, *a, **kw):
-        return self.gen.integers(*a, **kw)
-
-    def random(self, *a, **kw):
-        return self.gen.random(*a, **kw)
-
 
 def haar_unitary(dim, rng):
     """Haar-random unitary of size `dim`.

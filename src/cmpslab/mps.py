@@ -20,10 +20,7 @@ import struct
 import numpy as np
 
 from .kernels import haar_unitary, svd_truncate
-
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_SITE_OPS = {(0, 0): np.eye(2, dtype=complex), (1, 0): _X, (0, 1): _Z, (1, 1): _X @ _Z}
+from .paulis import SITE_OPS
 
 
 def bond_dims(n, chi_max):
@@ -146,9 +143,8 @@ def pauli_expectation(state, p):
     if p.n != state.n:
         raise ValueError("qubit count mismatch")
     e = np.ones((1, 1), dtype=complex)
-    for i, t in enumerate(state.tensors):
-        op = _SITE_OPS[(int(p.x[i]), int(p.z[i]))]
-        e = np.einsum("ab,asc,ts,btd->cd", e, t, op, t.conj())
+    for t, site in zip(state.tensors, p.sites()):
+        e = np.einsum("ab,asc,ts,btd->cd", e, t, SITE_OPS[site], t.conj())
     val = p.phase * e[0, 0]
     if p.is_hermitian:
         if abs(val.imag) > 1e-9:

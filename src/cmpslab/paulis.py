@@ -1,117 +1,105 @@
-"""Pauli-string algebra with bit-pair encoding and exact phase tracking.
+"""Pauli-string algebra on integer bit masks with exact phase tracking.
 
-Convention (documented once, asserted by the dense oracle tests): a string
-with bit vectors (x, z) and phase exponent p represents the operator
+Convention (documented once, asserted by the dense oracle tests): the string
+PauliString(n, x, z, p), with integer masks 0 <= x, z < 2^n, represents
 
-    i^p * (X^{x_1} Z^{z_1}) (x) ... (x) (X^{x_N} Z^{z_N})
+    i^p * (X^{x_0} Z^{z_0}) (x) ... (x) (X^{x_{N-1}} Z^{z_{N-1}})
 
-Site j = 0 is the leftmost tensor factor (most significant qubit of the
-computational-basis index). The Hermitian representative of a bare (x, z)
-word carries p = (x . z) mod 4, so the single-site Hermitian operators are
-I, X, Y = i XZ, Z.
+where x_j is bit n-1-j of x: site j = 0 is the leftmost tensor factor and the
+most significant bit of both the masks and the computational-basis index.
+`dense.pauli_spectrum` and `tableau.tableaux_to_dense` index strings the same
+way. The Hermitian representative of a bare (x, z) word carries
+p = |x & z| mod 4, so the single-site Hermitian operators are I, X, Y = i XZ, Z.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_I = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
+SITE_OPS = {(0, 0): np.eye(2, dtype=complex), (1, 0): _X, (0, 1): _Z, (1, 1): _X @ _Z}  # X^x Z^z
 
 PHASES = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
 
 
+def site_bits(n, mask):
+    """The n bits of an integer mask, site 0 (the most significant bit) first."""
+    return [(mask >> (n - 1 - j)) & 1 for j in range(n)]
+
+
 class PauliString:
-    """An N-site Pauli word i^phase_pow * prod_j X^{x_j} Z^{z_j}."""
+    """An N-site Pauli word i^phase_pow * X^x Z^z on integer masks x, z."""
 
     __slots__ = ("n", "x", "z", "phase_pow")
 
-    def __init__(self, x, z, phase_pow=0):
-        self.x = np.asarray(x, dtype=np.uint8) % 2
-        self.z = np.asarray(z, dtype=np.uint8) % 2
-        if self.x.shape != self.z.shape or self.x.ndim != 1:
-            raise ValueError("x and z must be equal-length bit vectors")
-        self.n = len(self.x)
+    def __init__(self, n, x, z, phase_pow=0):
+        self.n, self.x, self.z = int(n), int(x), int(z)
+        if not (0 <= self.x < 1 << self.n and 0 <= self.z < 1 << self.n):
+            raise ValueError(f"masks x={self.x}, z={self.z} do not fit in {self.n} sites")
         self.phase_pow = int(phase_pow) % 4
 
     @classmethod
-    def identity(cls, n):
-        return cls(np.zeros(n, dtype=np.uint8), np.zeros(n, dtype=np.uint8))
-
-    @classmethod
     def hermitian(cls, x, z):
-        """The Hermitian string for bit vectors (x, z): i^{x.z} X^x Z^z."""
-        x = np.asarray(x, dtype=np.uint8) % 2
-        z = np.asarray(z, dtype=np.uint8) % 2
-        return cls(x, z, int(np.dot(x.astype(int), z.astype(int))) % 4)
+        """The Hermitian string i^{x.z} X^x Z^z for bit sequences x, z, site 0 first."""
+        if len(x) != len(z):
+            raise ValueError("x and z must be equal-length bit vectors")
+        n = len(x)
+        masks = [sum((int(b) % 2) << (n - 1 - j) for j, b in enumerate(bits)) for bits in (x, z)]
+        return hermitian_pauli_from_index(n, *masks)
 
     @property
     def phase(self):
         return PHASES[self.phase_pow]
 
     @property
+    def sign_pow(self):
+        """The power of i that takes the Hermitian string on the same word to
+        this one: 0 or 2 exactly when this string is Hermitian."""
+        return (self.phase_pow - (self.x & self.z).bit_count()) % 4
+
+    @property
     def is_hermitian(self):
-        return (self.phase_pow - int(np.dot(self.x.astype(int), self.z.astype(int)))) % 4 in (0, 2)
+        return self.sign_pow % 2 == 0
 
     def __mul__(self, other):
         if self.n != other.n:
             raise ValueError("length mismatch")
         # Z^{z1} X^{x2} = (-1)^{z1.x2} X^{x2} Z^{z1}
-        swap = int(np.dot(self.z.astype(int), other.x.astype(int)))
-        p = (self.phase_pow + other.phase_pow + 2 * swap) % 4
-        return PauliString(self.x ^ other.x, self.z ^ other.z, p)
+        swap = (self.z & other.x).bit_count()
+        return PauliString(self.n, self.x ^ other.x, self.z ^ other.z, self.phase_pow + other.phase_pow + 2 * swap)
 
     def __eq__(self, other):
-        return (
-            self.n == other.n
-            and self.phase_pow == other.phase_pow
-            and np.array_equal(self.x, other.x)
-            and np.array_equal(self.z, other.z)
-        )
+        return (self.n, self.x, self.z, self.phase_pow) == (other.n, other.x, other.z, other.phase_pow)
 
     def __hash__(self):
-        return hash((self.x.tobytes(), self.z.tobytes(), self.phase_pow))
+        return hash((self.n, self.x, self.z, self.phase_pow))
 
     def commutes_with(self, other):
-        sym = int(np.dot(self.x.astype(int), other.z.astype(int))
-                  + np.dot(self.z.astype(int), other.x.astype(int)))
-        return sym % 2 == 0
+        return ((self.x & other.z) ^ (self.z & other.x)).bit_count() % 2 == 0
+
+    def sites(self):
+        """The (x_j, z_j) bit pair of every site, site 0 first."""
+        return list(zip(site_bits(self.n, self.x), site_bits(self.n, self.z)))
 
     def to_dense(self):
         """Dense 2^N x 2^N matrix. Keep N small."""
         if self.n > 12:
             raise ValueError("dense Pauli limited to N <= 12")
         m = np.ones((1, 1), dtype=complex)
-        for xj, zj in zip(self.x, self.z):
-            site = _X if xj else _I
-            site = site @ _Z if zj else site
-            m = np.kron(m, site)
+        for site in self.sites():
+            m = np.kron(m, SITE_OPS[site])
         return self.phase * m
 
     def __repr__(self):
         letters = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "XZ"}
-        body = ".".join(letters[(int(a), int(b))] for a, b in zip(self.x, self.z))
-        return f"i^{self.phase_pow}*{body}"
+        return f"i^{self.phase_pow}*" + ".".join(letters[s] for s in self.sites())
 
 
-def hermitian_pauli_from_index(n, x_bits, z_bits):
-    """Hermitian Pauli from integer bit masks (bit j = site j)."""
-    x = np.array([(x_bits >> j) & 1 for j in range(n)], dtype=np.uint8)
-    z = np.array([(z_bits >> j) & 1 for j in range(n)], dtype=np.uint8)
-    return PauliString.hermitian(x, z)
-
-
-def masks(p):
-    """Integer (xmask, zmask) with site 0 on the most significant bit."""
-    n = p.n
-    xm = zm = 0
-    for j in range(n):
-        if p.x[j]:
-            xm |= 1 << (n - 1 - j)
-        if p.z[j]:
-            zm |= 1 << (n - 1 - j)
-    return xm, zm
+def hermitian_pauli_from_index(n, x, z):
+    """The Hermitian string i^{|x&z|} X^x Z^z from integer masks (site 0 = most
+    significant bit), the indexing of `dense.pauli_spectrum`."""
+    return PauliString(n, x, z, (int(x) & int(z)).bit_count())
 
 
 def apply_to_statevector(p, vec):
@@ -119,9 +107,8 @@ def apply_to_statevector(p, vec):
     d = len(vec)
     if d != 1 << p.n:
         raise ValueError("state length mismatch")
-    xm, zm = masks(p)
-    src = np.arange(d) ^ xm
-    sign = np.where(np.bitwise_count(src & zm) % 2, -1.0, 1.0)
+    src = np.arange(d) ^ p.x
+    sign = np.where(np.bitwise_count(src & p.z) % 2, -1.0, 1.0)
     return p.phase * vec[src] * sign
 
 

@@ -321,13 +321,16 @@ class MagicDeviation:
 def delta_chi(n_sites, chi, n, method="analytic", rng=None, samples=10000):
     """delta_chi^(n) = d^n (E_RMPS[m_n] - E_Haar[m_n]).
 
-    Analytic method uses the OBC permutation chain; MC samples the staircase
-    ensemble and evaluates exact SREs densely (N <= 10).
+    Analytic method uses the OBC permutation chain, except that it is exactly
+    0.0 at the full profile chi >= 2^(N-1), where the staircase is the Haar
+    ensemble; MC samples the staircase ensemble and evaluates exact SREs
+    densely (N <= 10).
     """
     haar = haar_magic_scaled(1 << n_sites, n)
     if method == "analytic":
         val = obc_chain_value(2 * n, chi, n_sites, n)
-        return MagicDeviation(n_sites, chi, n, val - haar, "analytic")
+        delta = 0.0 if chi >= 1 << (n_sites - 1) else val - haar
+        return MagicDeviation(n_sites, chi, n, delta, "analytic")
     if method != "mc":
         raise ValueError(f"unknown method {method!r}")
     if rng is None:

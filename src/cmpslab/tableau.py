@@ -14,7 +14,7 @@ import json
 
 import numpy as np
 
-from .paulis import PHASES, PauliString
+from .paulis import PHASES, PauliString, site_bits
 
 GATE_NAMES = ("H", "S", "CNOT", "T")
 
@@ -47,45 +47,31 @@ class CliffordTableau:
 
     def row_pauli(self, r):
         """Generator image r as a signed Hermitian PauliString."""
-        x = self.mat[r, : self.n]
-        z = self.mat[r, self.n :]
-        p = (2 * int(self.signs[r]) + int(np.dot(x.astype(int), z.astype(int)))) % 4
-        return PauliString(x, z, p)
+        p = PauliString.hermitian(self.mat[r, : self.n], self.mat[r, self.n :])
+        return PauliString(self.n, p.x, p.z, p.phase_pow + 2 * int(self.signs[r]))
 
     def is_symplectic(self):
-        n = self.n
-        omega = np.zeros((2 * n, 2 * n), dtype=np.uint8)
-        omega[:n, n:] = np.eye(n, dtype=np.uint8)
-        omega[n:, :n] = np.eye(n, dtype=np.uint8)
+        omega = _omega(self.n)
         return np.array_equal((self.mat @ omega @ self.mat.T) % 2, omega)
 
     def image_of(self, p):
-        """Image U p U^dag of an arbitrary PauliString."""
+        """Image U p U^dag of an arbitrary PauliString: i^phase_pow times the
+        generator images multiplied left to right, X_0^{x_0} Z_0^{z_0} X_1^{x_1} ..."""
         if p.n != self.n:
             raise ValueError("qubit count mismatch")
         n = self.n
-        xz = np.concatenate([p.x, p.z]).astype(np.uint8)
-        out_x = np.zeros(n, dtype=np.uint8)
-        out_z = np.zeros(n, dtype=np.uint8)
-        phase = p.phase_pow
-        # multiply generator images left to right: X_0^{x_0} Z_0^{z_0} X_1^{x_1} ...
-        for j in range(n):
-            for r in (j, n + j):  # X_j image, then Z_j image
-                if not xz[r]:
-                    continue
-                gx = self.mat[r, :n]
-                gz = self.mat[r, n:]
-                gp = (2 * int(self.signs[r]) + int(np.dot(gx.astype(int), gz.astype(int)))) % 4
-                swap = int(np.dot(out_z.astype(int), gx.astype(int)))
-                phase = (phase + gp + 2 * swap) % 4
-                out_x ^= gx
-                out_z ^= gz
-        return PauliString(out_x, out_z, phase)
+        out = PauliString(n, 0, 0, p.phase_pow)
+        for j, (xj, zj) in enumerate(p.sites()):
+            if xj:
+                out = out * self.row_pauli(j)
+            if zj:
+                out = out * self.row_pauli(n + j)
+        return out
 
     def compose(self, other):
         """Tableau of U_self . U_other (conjugation self(other(P))). No program
-        path calls it: it is the reference the row-update rules are tested
-        against."""
+        path calls it but `inverse`: it is the reference the row-update rules
+        are tested against."""
         if self.n != other.n:
             raise ValueError("qubit count mismatch")
         n = self.n
@@ -93,38 +79,30 @@ class CliffordTableau:
         signs = np.zeros(2 * n, dtype=np.uint8)
         for r in range(2 * n):
             img = self.image_of(other.row_pauli(r))
-            mat[r, :n] = img.x
-            mat[r, n:] = img.z
-            herm = int(np.dot(img.x.astype(int), img.z.astype(int))) % 4
-            rel = (img.phase_pow - herm) % 4
-            if rel not in (0, 2):
+            if not img.is_hermitian:
                 raise RuntimeError("non-Hermitian generator image")
-            signs[r] = rel // 2
+            mat[r, :n] = site_bits(n, img.x)
+            mat[r, n:] = site_bits(n, img.z)
+            signs[r] = img.sign_pow // 2
         word = None
         if self.word is not None and other.word is not None:
             word = self.word + other.word
         return CliffordTableau(n, mat, signs, word=word)
 
     def inverse(self):
-        """Exact group inverse (symplectic transpose trick + sign repair)."""
-        n = self.n
-        omega = np.zeros((2 * n, 2 * n), dtype=np.uint8)
-        omega[:n, n:] = np.eye(n, dtype=np.uint8)
-        omega[n:, :n] = np.eye(n, dtype=np.uint8)
+        """Exact group inverse: the symplectic transpose Omega M^T Omega, with
+        the signs of self . (that transpose with zero signs). Flipping sign r
+        of the inverse flips the sign of self(inv(g_r)), so those signs make
+        self(inv(g_r)) = +g_r for every generator."""
+        omega = _omega(self.n)
         mat_inv = (omega @ self.mat.T @ omega) % 2
-        inv = CliffordTableau(n, mat_inv, np.zeros(2 * n, dtype=np.uint8))
-        # self(inv(g_r)) = (-1)^{e_r} g_r ; flipping inv sign r flips e_r
-        signs = np.zeros(2 * n, dtype=np.uint8)
-        for r in range(2 * n):
-            q = self.image_of(inv.row_pauli(r))
-            base = CliffordTableau.identity(n).row_pauli(r)
-            if q.phase_pow == base.phase_pow:
-                signs[r] = 0
-            elif (q.phase_pow - base.phase_pow) % 4 == 2:
-                signs[r] = 1
-            else:
-                raise RuntimeError("inverse sign repair failed")
-        return CliffordTableau(n, mat_inv, signs)
+        unsigned = CliffordTableau(self.n, mat_inv, np.zeros(2 * self.n, dtype=np.uint8))
+        return CliffordTableau(self.n, mat_inv, self.compose(unsigned).signs)
+
+
+def _omega(n):
+    """The symplectic form [[0, I], [I, 0]] on 2n bits."""
+    return np.kron(np.array([[0, 1], [1, 0]], dtype=np.uint8), np.eye(n, dtype=np.uint8))
 
 
 def conjugate_pauli(t, p):

@@ -416,7 +416,7 @@ def test_criterion_14_cross_cutting_invariants():
         r = rng.child(3000 + i)
         psi = haar_state(n, r)
         st = mps_from_statevector(psi)
-        p = hermitian_pauli_from_index(n, int(r.integers(1 << n)), int(r.integers(1 << n)))
+        p = hermitian_pauli_from_index(n, int(r.gen.integers(1 << n)), int(r.gen.integers(1 << n)))
         worst_mps = max(worst_mps, abs(pauli_expectation(st, p) - pauli_expectation_dense(psi, p)))
     ok = ok and worst_mps < 1e-10
     report(

@@ -98,6 +98,14 @@ def test_design_audit_subcommand(runner, tmp_path):
     assert "# delta4 chi=1" in text
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_design_audit_up_to_the_full_profile(runner, n):
+    chis = ",".join(str(2**k) for k in range(n + 1))
+    result = runner.invoke(main, ["design-audit", "--n", str(n), "--chi-list", chis, "--pairs", "2", "--out", "-"])
+    assert result.exit_code == 0, result.output
+    assert "Traceback" not in result.output
+
+
 def test_brickwork_trajectory_floor(runner):
     result = runner.invoke(main, ["brickwork", "--trajectories", "5", "--out", "-"])
     assert result.exit_code != 0

@@ -60,7 +60,7 @@ def test_pauli_expectation_matches_dense():
     st = mps_from_statevector(psi)
     assert abs(np.vdot(st.to_statevector(), psi)) == pytest.approx(1.0, abs=1e-10)
     for _ in range(30):
-        p = hermitian_pauli_from_index(5, int(rng.integers(32)), int(rng.integers(32)))
+        p = hermitian_pauli_from_index(5, int(rng.gen.integers(32)), int(rng.gen.integers(32)))
         assert pauli_expectation(st, p) == pytest.approx(
             pauli_expectation_dense(psi, p), abs=1e-10
         )

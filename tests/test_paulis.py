@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +17,7 @@ _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 def dense_of(p):
     """Independent oracle: kron product of i^phase X^x Z^z factors."""
     m = np.array([[1]], dtype=complex)
-    for x, z in zip(p.x, p.z):
+    for x, z in p.sites():
         f = np.eye(2, dtype=complex)
         if x:
             f = _X @ f
@@ -72,9 +73,24 @@ def test_apply_to_statevector_matches_matrix():
         assert np.allclose(apply_to_statevector(p, psi), dense_of(p) @ psi, atol=1e-12)
 
 
+@pytest.mark.parametrize("n,x,z", [(1, 2, 0), (2, 0, 4), (3, 8, 8), (2, -1, 0)])
+def test_masks_must_fit_the_sites(n, x, z):
+    with pytest.raises(ValueError):
+        PauliString(n, x, z)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_bit_and_mask_constructors_agree(data):
+    n = data.draw(st.integers(1, 5))
+    x, z = (data.draw(st.integers(0, (1 << n) - 1)) for _ in range(2))
+    bits = [[(m >> (n - 1 - j)) & 1 for j in range(n)] for m in (x, z)]  # site 0 first
+    assert PauliString.hermitian(*bits) == hermitian_pauli_from_index(n, x, z)
+
+
 def test_all_hermitian_paulis_count_and_identity_first():
     ps = list(all_hermitian_paulis(2))
     assert len(ps) == 16
     assert np.allclose(dense_of(ps[0]), np.eye(4))
-    assert len({(tuple(p.x), tuple(p.z)) for p in ps}) == 16
+    assert len({(p.x, p.z) for p in ps}) == 16
 

@@ -123,6 +123,12 @@ def test_delta_chi_product_example():
     assert dev.delta == pytest.approx(3.1851789, abs=1e-6)
 
 
+@pytest.mark.parametrize("n_sites", range(1, 7))
+def test_delta_chi_is_zero_at_the_full_profile(n_sites):
+    for n in (2, 3):
+        assert delta_chi(n_sites, 2 ** (n_sites - 1), n).delta == 0.0
+
+
 def test_delta_chi_mc_agrees_with_analytic():
     analytic = delta_chi(4, 2, 2).delta
     mc = delta_chi(4, 2, 2, method="mc", rng=Rng(13), samples=2500)

@@ -55,7 +55,7 @@ def dense_pauli(p):
     X = np.array([[0, 1], [1, 0]], dtype=complex)
     Z = np.diag([1.0, -1.0]).astype(complex)
     m = np.array([[1]], dtype=complex)
-    for x, z in zip(p.x, p.z):
+    for x, z in p.sites():
         f = np.eye(2, dtype=complex)
         if x:
             f = X @ f
@@ -154,7 +154,7 @@ def test_tableau_to_dense_consistency():
             assert np.allclose(u @ dense_pauli(gen) @ u.conj().T, dense_pauli(t.image_of(gen)), atol=1e-9)
         for trial in range(5):
             p = hermitian_pauli_from_index(
-                n, int(rng.integers(1 << n)), int(rng.integers(1 << n))
+                n, int(rng.gen.integers(1 << n)), int(rng.gen.integers(1 << n))
             )
             got = dense_pauli(conjugate_pauli(t, p))
             want = u.conj().T @ dense_pauli(p) @ u
