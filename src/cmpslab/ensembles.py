@@ -2,7 +2,9 @@
 design distance, and purity fluctuations for stabilizer, Haar and
 Clifford-enhanced ensembles.
 
-Dense statevectors (N <= 10) carry all Monte Carlo estimates.
+Dense statevectors (N <= 10) carry all Monte Carlo estimates. A sampler
+maps an iterable of random streams to an iterator of states, one per stream,
+so that the CMPS sampler can build the MPS of a chunk of streams together.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dense import dense_clifford_group, haar_state, purity
-from .mps import MpsState, sample_rmps_obc
+from .mps import MpsState, rmps_chunks, sample_rmps_obc, sample_rmps_sites, statevectors
 from .tableau import CliffordTableau, random_clifford, tableau_to_dense
 
 
@@ -51,18 +53,26 @@ def cmps_statevector(sample):
 # ------------------------------------------------------------- samplers
 
 def haar_sampler(n):
-    return lambda rng: haar_state(n, rng)
+    return lambda rngs: (haar_state(n, rng) for rng in rngs)
 
 
 def stab_sampler(n):
-    def draw(rng):
-        return tableau_to_dense(random_clifford(n, rng))[:, 0]
-
-    return draw
+    return lambda rngs: (tableau_to_dense(random_clifford(n, rng))[:, 0] for rng in rngs)
 
 
 def cmps_sampler(n, chi_max):
-    return lambda rng: cmps_statevector(sample_cmps(n, chi_max, rng))
+    """The states of sample_cmps, drawn in chunks of streams: each stream
+    draws its Clifford and then its MPS blocks, as sample_cmps does; the MPS
+    of a chunk are built and contracted together, and the Cliffords are
+    densified and applied one at a time."""
+
+    def draw(rngs):
+        for chunk in rmps_chunks(n, chi_max, rngs):
+            tabs = [random_clifford(n, rng) for rng in chunk]
+            for tab, phi in zip(tabs, statevectors(sample_rmps_sites(n, chi_max, chunk))):
+                yield tableau_to_dense(tab) @ phi
+
+    return draw
 
 
 @functools.cache
@@ -75,10 +85,10 @@ def stab_states_exhaustive(n):
     states at N=1, 60 at N=2. The returned vectors are the unrounded ones.
     Built once per n.
     """
-    uniq = {}
-    for v in dense_clifford_group(n)[:, :, 0]:
-        uniq.setdefault(np.round(v, 9).tobytes(), v)
-    out = np.stack(list(uniq.values()))
+    cols = dense_clifford_group(n)[:, :, 0]
+    keys = np.ascontiguousarray(np.round(cols, 9)).view(np.dtype((np.void, cols.itemsize * cols.shape[1]))).ravel()
+    _, first = np.unique(keys, return_index=True)
+    out = cols[np.sort(first)]
     expected = {1: 6, 2: 60}[n]
     if len(out) != expected:
         raise RuntimeError(f"found {len(out)} stabilizer states, expected {expected}")
@@ -99,11 +109,8 @@ def frame_potential_mc(sampler, k, pairs, rng):
         raise ValueError("k in {1..4}")
     if pairs < 2:
         raise ValueError("need at least 2 pairs")
-    vals = np.empty(pairs)
-    for i in range(pairs):
-        a = sampler(rng.child(2 * i))
-        b = sampler(rng.child(2 * i + 1))
-        vals[i] = np.abs(np.vdot(a, b)) ** (2 * k)
+    states = sampler(rng.child(j) for j in range(2 * pairs))
+    vals = np.array([np.abs(np.vdot(a, b)) ** (2 * k) for a, b in zip(states, states)])
     return EnsembleEstimate(
         float(np.mean(vals)),
         float(np.std(vals, ddof=1) / np.sqrt(pairs)),
@@ -166,10 +173,7 @@ def purity_fluctuation_mc(sampler, samples, rng):
     """Unbiased variance of Pur_A over the ensemble, A = first N/2 qubits."""
     if samples < 3:
         raise ValueError("need at least 3 samples")
-    purs = np.empty(samples)
-    for i in range(samples):
-        psi = sampler(rng.child(i))
-        purs[i] = purity(psi)
+    purs = np.array([purity(psi) for psi in sampler(rng.child(i) for i in range(samples))])
     return EnsembleEstimate(
         float(np.var(purs, ddof=1)),
         _jackknife_variance_se(purs),

@@ -32,20 +32,27 @@ class Rng:
         return Rng(self.seed, _seq=seq)
 
 
-def haar_unitary(dim, rng):
-    """Haar-random unitary of size `dim`.
+def haar_unitaries(dim, rngs):
+    """Haar-random unitaries of size `dim`, one per stream, as a (B, dim, dim) stack.
 
-    QR of a complex Ginibre matrix, with the R diagonal phase divided out.
-    The phase fix is required: plain QR is *not* Haar distributed.
+    Each stream draws a complex Ginibre matrix, and one stacked QR factors
+    them all, with the R diagonal phase divided out. The phase fix is
+    required: plain QR is *not* Haar distributed (Mezzadri, math-ph/0609050).
     """
     if dim < 1:
         raise ValueError(f"invalid unitary dimension {dim}")
-    g = rng.gen
-    z = (g.normal(size=(dim, dim)) + 1j * g.normal(size=(dim, dim))) / np.sqrt(2.0)
+    z = np.empty((len(rngs), dim, dim), dtype=complex)
+    for b, rng in enumerate(rngs):
+        g = rng.gen
+        z[b] = (g.normal(size=(dim, dim)) + 1j * g.normal(size=(dim, dim))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    q = q * (d / np.abs(d))
-    return q
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
+
+
+def haar_unitary(dim, rng):
+    """Haar-random unitary of size `dim`: the one-stream case of haar_unitaries."""
+    return haar_unitaries(dim, [rng])[0]
 
 
 def svd_truncate(m, chi_max, cutoff=0.0):

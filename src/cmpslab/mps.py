@@ -14,13 +14,19 @@ Serialization format (``save_mps`` / ``load_mps``), version ``mps-v1``:
 
 from __future__ import annotations
 
+import itertools
 import json
 import struct
 
 import numpy as np
 
-from .kernels import haar_unitary, svd_truncate
+from .kernels import haar_unitaries, svd_truncate
 from .paulis import SITE_OPS
+
+# Byte budget of the largest per-site stack of one batch of sampled MPS: the
+# Ginibre blocks of a site or the partial contraction to statevectors. It
+# bounds the batch, not the samples, so a large block makes a batch of one.
+STACK_BYTES = 1 << 20
 
 
 def bond_dims(n, chi_max):
@@ -72,27 +78,49 @@ class MpsState:
     def to_statevector(self):
         if self.n > 20:
             raise ValueError("statevector conversion limited to N <= 20")
-        v = np.ones((1, 1), dtype=complex)  # (basis, bond)
-        for t in self.tensors:
-            v = np.einsum("ka,asb->ksb", v, t).reshape(-1, t.shape[2])
-        return v[:, 0]
+        return statevectors([t[None] for t in self.tensors])[0]
+
+
+def statevectors(sites):
+    """(B, 2^N) statevectors of B MPS from their stacked site tensors, each
+    of shape (B, chi_{i-1}, 2, chi_i): one batched contraction per site."""
+    bsz = len(sites[0])
+    v = np.ones((bsz, 1, 1), dtype=complex)  # (batch, basis, bond)
+    for t in sites:
+        v = np.einsum("zka,zasb->zksb", v, t).reshape(bsz, -1, t.shape[3])
+    return v[:, :, 0]
+
+
+def sample_rmps_sites(n, chi_max, rngs):
+    """Stacked site tensors of one staircase random MPS per stream, open
+    boundaries: per site a Haar unitary of dimension 2*chi_i, restricted to
+    the chi_{i-1} rows addressed by the zero ancillas and reshaped to
+    (chi_{i-1}, 2, chi_i). Each stream draws its Ginibre blocks site by site;
+    each site is one stacked QR over the streams. Returns one
+    (B, chi_{i-1}, 2, chi_i) array per site. States come out exactly
+    normalized and right-normalized; chi_max = 2^(N-1) reproduces the Haar
+    ensemble (see bond_dims).
+    """
+    dims = bond_dims(n, chi_max)
+    return [haar_unitaries(2 * dims[i + 1], rngs)[:, : dims[i]].reshape(len(rngs), dims[i], 2, dims[i + 1])
+            for i in range(n)]
 
 
 def sample_rmps_obc(n, chi_max, rng):
-    """Random MPS with open boundaries: per site a Haar unitary of dimension
-    2*chi_i, restricted to the chi_{i-1} rows addressed by the zero ancillas
-    and reshaped to (chi_{i-1}, 2, chi_i). States come out exactly normalized
-    and right-normalized; chi_max = 2^(N-1) reproduces the Haar ensemble
-    (see bond_dims).
-    """
+    """Random MPS with open boundaries: the one-stream case of sample_rmps_sites."""
+    return MpsState([t[0] for t in sample_rmps_sites(n, chi_max, [rng])])
+
+
+def rmps_chunks(n, chi_max, rngs):
+    """The streams `rngs` in consecutive lists, each small enough that the
+    largest per-site stack of sample_rmps_sites and statevectors stays within
+    STACK_BYTES, and never empty."""
     dims = bond_dims(n, chi_max)
-    ts = []
-    for i in range(n):
-        chi_l, chi_r = dims[i], dims[i + 1]
-        u = haar_unitary(2 * chi_r, rng)
-        block = u[:chi_l, :]
-        ts.append(block.reshape(chi_l, 2, chi_r))
-    return MpsState(ts)
+    per_sample = 16 * max(max(4 * c * c, c << (i + 1)) for i, c in enumerate(dims[1:]))
+    size = max(1, STACK_BYTES // per_sample)
+    it = iter(rngs)
+    while chunk := list(itertools.islice(it, size)):
+        yield chunk
 
 
 def apply_two_qubit_gate(state, gate, site, chi_max):

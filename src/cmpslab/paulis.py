@@ -110,10 +110,3 @@ def apply_to_statevector(p, vec):
     src = np.arange(d) ^ p.x
     sign = np.where(np.bitwise_count(src & p.z) % 2, -1.0, 1.0)
     return p.phase * vec[src] * sign
-
-
-def all_hermitian_paulis(n):
-    """All 4^n Hermitian Pauli strings (identity first). Keep n small."""
-    for xb in range(2**n):
-        for zb in range(2**n):
-            yield hermitian_pauli_from_index(n, xb, zb)

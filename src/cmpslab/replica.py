@@ -336,13 +336,12 @@ def delta_chi(n_sites, chi, n, method="analytic", rng=None, samples=10000):
     if rng is None:
         raise ValueError("MC method needs an rng")
     from .dense import exact_sre
-    from .mps import sample_rmps_obc
+    from .mps import rmps_chunks, sample_rmps_sites, statevectors
 
     d = 1 << n_sites
-    vals = np.empty(samples)
-    for i in range(samples):
-        st = sample_rmps_obc(n_sites, chi, rng.child(i))
-        vals[i] = exact_sre(st.to_statevector(), n)[0]
+    rngs = (rng.child(i) for i in range(samples))
+    vals = np.array([exact_sre(psi, n)[0] for chunk in rmps_chunks(n_sites, chi, rngs)
+                     for psi in statevectors(sample_rmps_sites(n_sites, chi, chunk))])
     scaled = vals * float(d) ** n
     se = float(np.std(scaled, ddof=1) / np.sqrt(samples))
     return MagicDeviation(n_sites, chi, n, float(np.mean(scaled)) - haar, "mc", se)

@@ -1,10 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from cmpslab import ensembles, mps
+from cmpslab.dense import haar_state, purity
 from cmpslab.ensembles import (
     cmps_sampler,
+    cmps_statevector,
     design_distance_delta4,
     frame_potential_exact_stab,
     frame_potential_mc,
@@ -12,12 +16,14 @@ from cmpslab.ensembles import (
     haar_sampler,
     purity_fluctuation_formulas,
     purity_fluctuation_mc,
+    sample_cmps,
     stab_purity_exhaustive,
     stab_sampler,
     stab_states_exhaustive,
     stabilizer_purity_mean,
 )
 from cmpslab.kernels import Rng
+from cmpslab.tableau import random_clifford, tableau_to_dense
 
 
 def test_stab_state_counts():
@@ -93,3 +99,77 @@ def test_cmps_full_cap_matches_haar_fluctuations():
 def test_haar_frame_potential_closed_form():
     for d, k in ((4, 1), (4, 4), (8, 3)):
         assert haar_frame_potential(d, k) == 1 / math.comb(d + k - 1, k)
+
+
+def _streams(rng, count):
+    return [rng.child(i) for i in range(count)]
+
+
+@pytest.mark.parametrize("stack_bytes", [1, mps.STACK_BYTES])
+@pytest.mark.parametrize("n,chi", [(1, 1), (2, 1), (2, 2), (3, 2), (3, 4), (6, 1), (6, 4), (6, 32)])
+def test_cmps_batch_matches_one_at_a_time(monkeypatch, stack_bytes, n, chi):
+    # 20 streams: chunks of 1 under a 1-byte budget; at the default budget
+    # one chunk, or 16 + 4 at (6, 32)
+    monkeypatch.setattr(mps, "STACK_BYTES", stack_bytes)
+    rng = Rng(21)
+    got = list(cmps_sampler(n, chi)(rng.child(i) for i in range(20)))
+    assert len(got) == 20
+    for i, psi in enumerate(got):
+        assert psi.tobytes() == cmps_statevector(sample_cmps(n, chi, rng.child(i))).tobytes()
+
+
+def test_haar_and_stab_batches_match_one_at_a_time():
+    rng = Rng(22)
+    for psi, r in zip(haar_sampler(3)(_streams(rng, 7)), _streams(rng, 7)):
+        assert psi.tobytes() == haar_state(3, r).tobytes()
+    for psi, r in zip(stab_sampler(3)(_streams(rng, 7)), _streams(rng, 7)):
+        want = tableau_to_dense(random_clifford(3, r))[:, 0]
+        # the same strided column: np.vdot rounds a contiguous copy differently
+        assert psi.strides == want.strides
+        assert psi.tobytes() == want.tobytes()
+
+
+def test_estimators_densify_each_drawn_clifford_and_take_each_purity(monkeypatch):
+    drawn, densified, purities = [], [], []
+
+    def draw(n, rng):
+        drawn.append(random_clifford(n, rng))
+        return drawn[-1]
+
+    def densify(t):
+        densified.append(t)
+        return tableau_to_dense(t)
+
+    def pur(psi):
+        purities.append(purity(psi))
+        return purities[-1]
+
+    monkeypatch.setattr(ensembles, "random_clifford", draw)
+    monkeypatch.setattr(ensembles, "tableau_to_dense", densify)
+    monkeypatch.setattr(ensembles, "purity", pur)
+    for k in (1, 4):
+        drawn.clear()
+        densified.clear()
+        frame_potential_mc(cmps_sampler(3, 2), k, 7, Rng(23))
+        assert len(densified) == 14
+        assert all(t is d for t, d in zip(densified, drawn)) and len(drawn) == 14
+    est = purity_fluctuation_mc(cmps_sampler(4, 2), 9, Rng(24))
+    assert len(purities) == 9
+    assert est.mean == float(np.var(purities, ddof=1))
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cmps_batch_memory_stays_near_one_sample():
+    # at N = 10, chi = 256 one sample stacks two 4 MB Ginibre blocks, so an
+    # unchunked batch of 20 peaks at several hundred MB
+    one = _traced_peak(lambda: cmps_statevector(sample_cmps(10, 256, Rng(25))))
+    batch = _traced_peak(lambda: list(cmps_sampler(10, 256)(Rng(25).child(i) for i in range(20))))
+    assert batch <= 2 * one

@@ -3,6 +3,7 @@ import pytest
 
 from cmpslab.dense import apply_gate, entanglement_entropy, haar_state, pauli_expectation_dense, purity
 from cmpslab.kernels import Rng, haar_unitary
+from cmpslab import mps
 from cmpslab.mps import (
     MpsState,
     apply_two_qubit_gate,
@@ -12,8 +13,11 @@ from cmpslab.mps import (
     load_mps,
     mps_from_statevector,
     pauli_expectation,
+    rmps_chunks,
     sample_rmps_obc,
+    sample_rmps_sites,
     save_mps,
+    statevectors,
 )
 from cmpslab.paulis import hermitian_pauli_from_index
 
@@ -52,6 +56,62 @@ def test_sampler_haar_at_full_cap():
     want = (da + db) / (da * db + 1)
     se = np.std(purs, ddof=1) / np.sqrt(samples)
     assert abs(np.mean(purs) - want) < 4 * se
+
+
+def _haar_unitary_ref(dim, rng):
+    """Reference copy of the per-stream Haar unitary: one Ginibre draw, one
+    QR, the R diagonal phase divided out."""
+    g = rng.gen
+    z = (g.normal(size=(dim, dim)) + 1j * g.normal(size=(dim, dim))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def _rmps_statevector_ref(n, chi_max, rng):
+    """Reference copy of one staircase sample contracted site by site."""
+    dims = bond_dims(n, chi_max)
+    v = np.ones((1, 1), dtype=complex)
+    for i in range(n):
+        t = _haar_unitary_ref(2 * dims[i + 1], rng)[: dims[i]].reshape(dims[i], 2, dims[i + 1])
+        v = np.einsum("ka,asb->ksb", v, t).reshape(-1, dims[i + 1])
+    return v[:, 0]
+
+
+CASES = [(1, 1), (2, 1), (2, 2), (3, 2), (3, 4), (6, 1), (6, 4), (6, 32)]
+
+
+@pytest.mark.parametrize("n,chi", CASES)
+def test_one_stream_sample_matches_reference(n, chi):
+    rng = Rng(11)
+    for i in range(3):
+        want = _rmps_statevector_ref(n, chi, rng.child(i))
+        assert sample_rmps_obc(n, chi, rng.child(i)).to_statevector().tobytes() == want.tobytes()
+    assert haar_unitary(8, rng.child(9)).tobytes() == _haar_unitary_ref(8, rng.child(9)).tobytes()
+
+
+@pytest.mark.parametrize("stack_bytes", [1, mps.STACK_BYTES])
+@pytest.mark.parametrize("n,chi", CASES)
+def test_batched_statevectors_match_one_at_a_time(monkeypatch, stack_bytes, n, chi):
+    # 20 streams: chunks of 1 under a 1-byte budget; at the default budget
+    # one chunk, or 16 + 4 at (6, 32), where a sample stacks 64 KB
+    monkeypatch.setattr(mps, "STACK_BYTES", stack_bytes)
+    rng = Rng(12)
+    got = [psi for chunk in rmps_chunks(n, chi, (rng.child(i) for i in range(20)))
+           for psi in statevectors(sample_rmps_sites(n, chi, chunk))]
+    assert len(got) == 20
+    for i, psi in enumerate(got):
+        assert psi.tobytes() == _rmps_statevector_ref(n, chi, rng.child(i)).tobytes()
+
+
+def test_chunks_follow_the_largest_per_site_stack():
+    # (6, 32): the 64x64 site-1 Ginibre block is 64 KB, 16 samples per MB;
+    # (10, 256): a 512x512 block is 4 MB, so every chunk is one sample;
+    # (10, 1): the 2^10 statevector stack is the largest, 16 KB a sample
+    assert [len(c) for c in rmps_chunks(6, 32, range(20))] == [16, 4]
+    assert [len(c) for c in rmps_chunks(10, 256, range(3))] == [1, 1, 1]
+    assert [len(c) for c in rmps_chunks(10, 1, range(100))] == [64, 36]
+    assert list(rmps_chunks(3, 2, [])) == []
 
 
 def test_pauli_expectation_matches_dense():

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from cmpslab.paulis import (
     PauliString,
-    all_hermitian_paulis,
     apply_to_statevector,
     hermitian_pauli_from_index,
 )
@@ -86,11 +85,3 @@ def test_bit_and_mask_constructors_agree(data):
     x, z = (data.draw(st.integers(0, (1 << n) - 1)) for _ in range(2))
     bits = [[(m >> (n - 1 - j)) & 1 for j in range(n)] for m in (x, z)]  # site 0 first
     assert PauliString.hermitian(*bits) == hermitian_pauli_from_index(n, x, z)
-
-
-def test_all_hermitian_paulis_count_and_identity_first():
-    ps = list(all_hermitian_paulis(2))
-    assert len(ps) == 16
-    assert np.allclose(dense_of(ps[0]), np.eye(4))
-    assert len({(p.x, p.z) for p in ps}) == 16
-
