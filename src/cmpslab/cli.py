@@ -4,8 +4,8 @@ Every subcommand reads an optional JSON config (flags override fields) and
 emits CSV with '#' header comments carrying the artifact version, the sha256
 of the resolved config, and the seed, so identical config + seed reruns are
 byte-identical. Errors exit nonzero with a one-line JSON diagnostic on
-stderr. `brickwork` and `cooling` run their trajectories on --workers threads
-(default $CMPSLAB_WORKERS, else 1); results do not depend on the count.
+stderr. `brickwork` and `cooling` run their trajectories on --workers >= 1
+threads (default $CMPSLAB_WORKERS, else 1); results do not depend on the count.
 """
 
 from __future__ import annotations
@@ -40,6 +40,14 @@ def _load_config(path):
     return cfg
 
 
+def _as_int(x):
+    """int(x), except that a bool or a float with a fractional part is an
+    error rather than a truncated integer."""
+    if isinstance(x, bool) or (isinstance(x, float) and not x.is_integer()):
+        raise ValueError(f"{x!r} is not an integer")
+    return int(x)
+
+
 def _resolve(cfg, field, override, default, kind, bounds=None):
     """Merge precedence: CLI flag > config field > default. kind validates:
     "int", "int_list", "float_list", or a tuple of the allowed strings;
@@ -49,7 +57,7 @@ def _resolve(cfg, field, override, default, kind, bounds=None):
         if kind == "int_list":
             if isinstance(val, str):
                 val = [int(x) for x in val.split(",") if x.strip()]
-            val = [int(x) for x in val]
+            val = [_as_int(x) for x in val]
             if not val:
                 raise ValueError("empty list")
         elif kind == "float_list":
@@ -59,7 +67,7 @@ def _resolve(cfg, field, override, default, kind, bounds=None):
             if not val:
                 raise ValueError("empty list")
         elif kind == "int":
-            val = int(val)
+            val = _as_int(val)
         elif val not in kind:
             raise ValueError(f"{val!r} is not one of {', '.join(kind)}")
         if bounds is not None:
@@ -100,9 +108,7 @@ def _write_csv(out_path, fieldnames, rows, resolved, seed, extra_comments=()):
 
 
 def _workers(flag):
-    if flag is not None:
-        return max(1, int(flag))
-    return max(1, _resolve({}, "workers", os.environ.get("CMPSLAB_WORKERS"), 1, "int"))
+    return _resolve({}, "workers", flag, os.environ.get("CMPSLAB_WORKERS", 1), "int", (1, math.inf))
 
 
 @click.group()
@@ -117,7 +123,7 @@ _common = [
     click.option("--seed", type=int, default=None, help="Root seed."),
 ]
 _workers_option = click.option(
-    "--workers", type=int, default=None, help="Trajectory thread count (default $CMPSLAB_WORKERS or 1)."
+    "--workers", type=int, default=None, help="Trajectory thread count, at least 1 (default $CMPSLAB_WORKERS or 1)."
 )
 
 
@@ -138,6 +144,7 @@ def common_options(fn):
 def magic_scan(config_path, out, seed, n_list, chi_list, sre_list, boundary, method, samples):
     """Magic deviation from Haar per (N, chi, n), with power-law fits per N."""
     from .dense import MAX_SRE_QUBITS
+    from .ensembles import magic_deviation_mc, rmps_sampler
     from .replica import delta_chi, fit_power_law, pbc_delta
 
     cfg = _load_config(config_path)
@@ -165,10 +172,12 @@ def magic_scan(config_path, out, seed, n_list, chi_list, sre_list, boundary, met
             for chi in chis:
                 if boundary == "pbc":
                     delta, se = pbc_delta(big_n, chi, nn), 0.0
+                elif method == "analytic":
+                    delta, se = delta_chi(big_n, chi, nn).delta, ""
                 else:
                     # one child stream per CSV row, keyed by the row index
-                    res = delta_chi(big_n, chi, nn, method=method, rng=rng.child(len(rows)), samples=samples)
-                    delta, se = res.delta, res.se
+                    est = magic_deviation_mc(rmps_sampler(big_n, chi), nn, samples, rng.child(len(rows)))
+                    delta, se = est.mean, est.std_error
                 pts.append((chi, delta))
                 rows.append({"n_sites": big_n, "chi": chi, "n": nn, "boundary": boundary,
                              "method": method, "delta": delta, "se": se})

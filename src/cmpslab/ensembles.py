@@ -1,6 +1,6 @@
-"""Ensemble statistics: the Clifford-enhanced MPS sampler, frame potentials,
-design distance, and purity fluctuations for stabilizer, Haar and
-Clifford-enhanced ensembles.
+"""Ensemble statistics: the random and Clifford-enhanced MPS samplers, frame
+potentials, design distance, Monte Carlo magic, and purity fluctuations for
+stabilizer, Haar and Clifford-enhanced ensembles.
 
 Dense statevectors (N <= 10) carry all Monte Carlo estimates. A sampler
 maps an iterable of random streams to an iterator of states, one per stream,
@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import dense_clifford_group, haar_state, purity
+from .dense import dense_clifford_group, exact_sre, haar_state, purity
 from .mps import MpsState, rmps_chunks, sample_rmps_obc, sample_rmps_sites, statevectors
+from .replica import haar_magic_scaled
 from .tableau import CliffordTableau, random_clifford, tableau_to_dense
 
 
@@ -58,6 +59,13 @@ def haar_sampler(n):
 
 def stab_sampler(n):
     return lambda rngs: (tableau_to_dense(random_clifford(n, rng))[:, 0] for rng in rngs)
+
+
+def rmps_sampler(n, chi_max):
+    """Staircase random MPS (sample_rmps_obc) as statevectors, the MPS of a
+    chunk of streams built and contracted together."""
+    return lambda rngs: (psi for chunk in rmps_chunks(n, chi_max, rngs)
+                         for psi in statevectors(sample_rmps_sites(n, chi_max, chunk)))
 
 
 def cmps_sampler(n, chi_max):
@@ -137,12 +145,28 @@ def design_distance_delta4(delta2_chi, d):
     return (d + 3) / d * delta2_chi / math.sqrt(4 * (d - 1) * (4 + d))
 
 
+# ------------------------------------------------------------------ magic
+
+def magic_deviation_mc(sampler, n, samples, rng):
+    """delta^(n) = d^n (E[m_n] - E_Haar[m_n]) over the ensemble, from exact
+    dense SREs (N <= 10), with the standard error of the mean; d is the
+    length of the sampled states."""
+    if samples < 2:
+        raise ValueError("need at least 2 samples")
+    m_n = []
+    for psi in sampler(rng.child(i) for i in range(samples)):
+        m_n.append(exact_sre(psi, n)[0])
+    d = len(psi)
+    scaled = np.array(m_n) * float(d) ** n
+    return EnsembleEstimate(
+        float(np.mean(scaled)) - haar_magic_scaled(d, n),
+        float(np.std(scaled, ddof=1) / np.sqrt(samples)),
+        samples,
+        f"magic_deviation_n{n}",
+    )
+
+
 # ------------------------------------------------------- purity statistics
-
-def stabilizer_purity_mean(d):
-    """E_STAB[Pur_A] = 2 sqrt(d)/(d+1) at d_A = d_B = sqrt(d)."""
-    return 2 * math.sqrt(d) / (d + 1)
-
 
 def purity_fluctuation_formulas(d, ensemble, delta2_chi=None):
     """Closed-form Delta^2 Pur_A at d_A = d_B = sqrt(d)."""

@@ -75,9 +75,6 @@ class PauliString:
     def __hash__(self):
         return hash((self.n, self.x, self.z, self.phase_pow))
 
-    def commutes_with(self, other):
-        return ((self.x & other.z) ^ (self.z & other.x)).bit_count() % 2 == 0
-
     def sites(self):
         """The (x_j, z_j) bit pair of every site, site 0 first."""
         return list(zip(site_bits(self.n, self.x), site_bits(self.n, self.z)))

@@ -30,6 +30,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .mps import bond_dims
+
 
 # ---------------------------------------------------------------- S_k tables
 
@@ -276,8 +278,6 @@ def obc_chain_value(k, chi_max, n_sites, n=None, weight="pauli"):
     are class functions, so the chain runs on the class sector, where u
     becomes the vector of class sizes.
     """
-    from .mps import bond_dims
-
     if n is None:
         n = k // 2
     dims = bond_dims(n_sites, chi_max)
@@ -314,37 +314,18 @@ class MagicDeviation:
     chi: int
     n: int
     delta: float
-    method: str
-    se: float | None = None
 
 
-def delta_chi(n_sites, chi, n, method="analytic", rng=None, samples=10000):
-    """delta_chi^(n) = d^n (E_RMPS[m_n] - E_Haar[m_n]).
-
-    Analytic method uses the OBC permutation chain, except that it is exactly
-    0.0 at the full profile chi >= 2^(N-1), where the staircase is the Haar
-    ensemble; MC samples the staircase ensemble and evaluates exact SREs
-    densely (N <= 10).
+def delta_chi(n_sites, chi, n):
+    """delta_chi^(n) = d^n (E_RMPS[m_n] - E_Haar[m_n]) from the OBC permutation
+    chain, except that it is exactly 0.0 at the full profile chi >= 2^(N-1),
+    where the staircase is the Haar ensemble. `ensembles.magic_deviation_mc`
+    estimates the same quantity by sampling the staircase ensemble.
     """
     haar = haar_magic_scaled(1 << n_sites, n)
-    if method == "analytic":
-        val = obc_chain_value(2 * n, chi, n_sites, n)
-        delta = 0.0 if chi >= 1 << (n_sites - 1) else val - haar
-        return MagicDeviation(n_sites, chi, n, delta, "analytic")
-    if method != "mc":
-        raise ValueError(f"unknown method {method!r}")
-    if rng is None:
-        raise ValueError("MC method needs an rng")
-    from .dense import exact_sre
-    from .mps import rmps_chunks, sample_rmps_sites, statevectors
-
-    d = 1 << n_sites
-    rngs = (rng.child(i) for i in range(samples))
-    vals = np.array([exact_sre(psi, n)[0] for chunk in rmps_chunks(n_sites, chi, rngs)
-                     for psi in statevectors(sample_rmps_sites(n_sites, chi, chunk))])
-    scaled = vals * float(d) ** n
-    se = float(np.std(scaled, ddof=1) / np.sqrt(samples))
-    return MagicDeviation(n_sites, chi, n, float(np.mean(scaled)) - haar, "mc", se)
+    val = obc_chain_value(2 * n, chi, n_sites, n)
+    delta = 0.0 if chi >= 1 << (n_sites - 1) else val - haar
+    return MagicDeviation(n_sites, chi, n, delta)
 
 
 @dataclass
@@ -380,17 +361,3 @@ def fit_power_law(points, exponent=None):
     residual = float(res[0]) if len(res) else 0.0
     return FitResult(float(coef[0]), float(math.exp(coef[1])), residual)
 
-
-def symmetric_projector_pauli_trace(d, sigma_is_identity):
-    """Tr[sigma^{(x)4} P_symm^(4)] for a single-site Pauli sigma.
-
-    Uses the cycle expansion (1/4!) sum_pi prod_cycles Tr[sigma^{|c|}], with
-    Tr[sigma^m] = d for the identity and d * [m even] for traceless sigma.
-    """
-    reps, sizes = sk_classes(4)
-    total = 0.0
-    for rep, size in zip(reps, sizes):
-        lengths = _cycle_lengths(rep)
-        if sigma_is_identity or all(ln % 2 == 0 for ln in lengths):
-            total += size * float(d) ** len(lengths)
-    return total / math.factorial(4)

@@ -10,13 +10,10 @@ so phases are always +/-1). The binary matrix is symplectic for the form
 from __future__ import annotations
 
 import functools
-import json
 
 import numpy as np
 
 from .paulis import PHASES, PauliString, site_bits
-
-GATE_NAMES = ("H", "S", "CNOT", "T")
 
 
 class CliffordTableau:
@@ -50,10 +47,6 @@ class CliffordTableau:
         p = PauliString.hermitian(self.mat[r, : self.n], self.mat[r, self.n :])
         return PauliString(self.n, p.x, p.z, p.phase_pow + 2 * int(self.signs[r]))
 
-    def is_symplectic(self):
-        omega = _omega(self.n)
-        return np.array_equal((self.mat @ omega @ self.mat.T) % 2, omega)
-
     def image_of(self, p):
         """Image U p U^dag of an arbitrary PauliString: i^phase_pow times the
         generator images multiplied left to right, X_0^{x_0} Z_0^{z_0} X_1^{x_1} ..."""
@@ -70,8 +63,8 @@ class CliffordTableau:
 
     def compose(self, other):
         """Tableau of U_self . U_other (conjugation self(other(P))). No program
-        path calls it but `inverse`: it is the reference the row-update rules
-        are tested against."""
+        path calls it: it is the reference the row-update rules are tested
+        against."""
         if self.n != other.n:
             raise ValueError("qubit count mismatch")
         n = self.n
@@ -88,30 +81,6 @@ class CliffordTableau:
         if self.word is not None and other.word is not None:
             word = self.word + other.word
         return CliffordTableau(n, mat, signs, word=word)
-
-    def inverse(self):
-        """Exact group inverse: the symplectic transpose Omega M^T Omega, with
-        the signs of self . (that transpose with zero signs). Flipping sign r
-        of the inverse flips the sign of self(inv(g_r)), so those signs make
-        self(inv(g_r)) = +g_r for every generator."""
-        omega = _omega(self.n)
-        mat_inv = (omega @ self.mat.T @ omega) % 2
-        unsigned = CliffordTableau(self.n, mat_inv, np.zeros(2 * self.n, dtype=np.uint8))
-        return CliffordTableau(self.n, mat_inv, self.compose(unsigned).signs)
-
-
-def _omega(n):
-    """The symplectic form [[0, I], [I, 0]] on 2n bits."""
-    return np.kron(np.array([[0, 1], [1, 0]], dtype=np.uint8), np.eye(n, dtype=np.uint8))
-
-
-def conjugate_pauli(t, p):
-    """sigma' = U^dag sigma U for tableau t representing U.
-
-    Rebuilds t.inverse() on every call, O(N^3); to pull many Paulis through
-    one tableau, invert it once and call image_of.
-    """
-    return t.inverse().image_of(p)
 
 
 def _conjugate_rows(mat, signs, name, qubits, n):
@@ -319,29 +288,6 @@ def tableau_to_dense(t):
         raise ValueError("dense conversion limited to N <= 12")
     d = 1 << t.n
     return tableaux_to_dense(t.mat[None], t.signs[None], np.empty((1, d, d), dtype=complex))[0]
-
-
-def circuit_to_json(gates):
-    """Serialize a gate list [(name, qubits), ...]; T is allowed but flagged."""
-    out = []
-    for name, qubits in gates:
-        if name not in GATE_NAMES:
-            raise ValueError(f"unknown gate {name!r}")
-        entry = {"name": name, "qubits": list(map(int, qubits))}
-        if name == "T":
-            entry["clifford"] = False
-        out.append(entry)
-    return json.dumps(out)
-
-
-def circuit_from_json(text):
-    gates = []
-    for entry in json.loads(text):
-        name = entry["name"]
-        if name not in GATE_NAMES:
-            raise ValueError(f"unknown gate {name!r}")
-        gates.append((name, [int(q) for q in entry["qubits"]]))
-    return gates
 
 
 def tableau_from_circuit(gates, n):

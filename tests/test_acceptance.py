@@ -233,6 +233,7 @@ def test_criterion_08_scaling_exponents():
 
 
 def test_criterion_09_analytic_vs_mc_gate():
+    from cmpslab.ensembles import magic_deviation_mc, rmps_sampler
     from cmpslab.replica import delta_chi, haar_magic_scaled
 
     rng = Rng(109)
@@ -240,8 +241,8 @@ def test_criterion_09_analytic_vs_mc_gate():
     ok = True
     for big_n, chi in ((4, 2), (6, 4)):
         analytic = delta_chi(big_n, chi, 2).delta
-        mc = delta_chi(big_n, chi, 2, method="mc", rng=rng.child(big_n), samples=10000)
-        z = (mc.delta - analytic) / mc.se
+        mc = magic_deviation_mc(rmps_sampler(big_n, chi), 2, 10000, rng.child(big_n))
+        z = (mc.mean - analytic) / mc.std_error
         ok = ok and abs(z) < 3
         parts.append(f"(N={big_n},chi={chi}) z={z:+.2f}")
     report(9, ok, "; ".join(parts))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -114,23 +115,24 @@ def test_brickwork_trajectory_floor(runner):
 
 
 def test_bad_workers_env_is_machine_readable(runner):
-    result = runner.invoke(
-        main, ["cooling", "--n-list", "4", "--vt-grid", "0", "--trajectories", "1", "--out", "-"],
-        env={"CMPSLAB_WORKERS": "two"},
-    )
-    assert result.exit_code != 0
-    assert "Traceback" not in result.output
-    line = result.output.split("Error: ", 1)[1]
-    assert line.count("\n") == 1
-    payload = json.loads(line)
-    assert payload["error"] == "config_field"
-    assert payload["field"] == "workers"
+    for value in ("two", "0"):
+        result = runner.invoke(
+            main, ["cooling", "--n-list", "4", "--vt-grid", "0", "--trajectories", "1", "--out", "-"],
+            env={"CMPSLAB_WORKERS": value},
+        )
+        assert result.exit_code != 0
+        assert "Traceback" not in result.output
+        line = result.output.split("Error: ", 1)[1]
+        assert line.count("\n") == 1
+        payload = json.loads(line)
+        assert payload["error"] == "config_field"
+        assert payload["field"] == "workers"
 
 
-def _config_error(runner, tmp_path, cfg):
+def _config_error(runner, tmp_path, cfg, command="magic-scan"):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    result = runner.invoke(main, ["magic-scan", "--config", str(path), "--out", "-"])
+    result = runner.invoke(main, [command, "--config", str(path), "--out", "-"])
     assert result.exit_code != 0
     assert "Traceback" not in result.output
     line = result.output.split("Error: ", 1)[1]
@@ -148,6 +150,49 @@ def test_unknown_method_in_config_is_machine_readable(runner, tmp_path):
     payload = _config_error(runner, tmp_path, {"n_list": [4], "chi_list": [2], "method": "montecarlo"})
     assert payload["error"] == "config_field"
     assert payload["field"] == "method"
+
+
+@pytest.mark.parametrize(
+    "command,cfg,field",
+    [
+        ("magic-scan", {"n_list": [4.9], "chi_list": [2]}, "n_list"),
+        ("magic-scan", {"n_list": [True], "chi_list": [2]}, "n_list"),
+        ("magic-scan", {"n_list": [4], "chi_list": [2.5, 4]}, "chi_list"),
+        ("magic-scan", {"n_list": [4], "chi_list": [2], "seed": 1.5}, "seed"),
+        ("magic-scan", {"n_list": [4], "chi_list": [2], "method": "mc", "samples": 2.5}, "samples"),
+        ("design-audit", {"n": 2.7, "chi_list": [1], "pairs": 2}, "n"),
+        ("design-audit", {"n": True, "chi_list": [1], "pairs": 2}, "n"),
+        ("cooling", {"n_list": [4], "vt_grid": [0], "trajectories": 2.5}, "trajectories"),
+        ("cooling", {"n_list": [4], "vt_grid": [0], "trajectories": 2, "v": True}, "v"),
+    ],
+    ids=lambda v: json.dumps(v) if isinstance(v, dict) else v,
+)
+def test_non_integer_config_value_is_machine_readable(runner, tmp_path, command, cfg, field):
+    payload = _config_error(runner, tmp_path, cfg, command)
+    assert payload["error"] == "config_field"
+    assert payload["field"] == field
+
+
+def test_integral_float_config_keeps_its_csv(runner, tmp_path):
+    outs = []
+    for i, n_list in enumerate(([4], [4.0])):
+        cfg, out = tmp_path / f"cfg{i}.json", tmp_path / f"out{i}.csv"
+        cfg.write_text(json.dumps({"n_list": n_list, "chi_list": [2, 4], "sre_list": [2]}))
+        assert runner.invoke(main, ["magic-scan", "--config", str(cfg), "--out", str(out)]).exit_code == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+# sha256 of `magic-scan --method mc --n-list 4 --chi-list 2,4 --samples 200`,
+# recorded when the Monte Carlo branch still lived inside delta_chi.
+PINNED_MC_SCAN = "1b21e702ec1054e90da8340c8e6ad9c877fbe8d67f068d41ac76f34ac3e84628"
+
+
+def test_mc_magic_scan_pinned(runner, tmp_path):
+    out = tmp_path / "mc.csv"
+    args = ["magic-scan", "--method", "mc", "--n-list", "4", "--chi-list", "2,4", "--samples", "200"]
+    assert runner.invoke(main, args + ["--out", str(out)]).exit_code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_MC_SCAN
 
 
 def test_mc_beyond_dense_limit_is_machine_readable(runner, tmp_path):
@@ -170,6 +215,9 @@ def test_mc_beyond_dense_limit_is_machine_readable(runner, tmp_path):
         (["magic-scan", "--n-list", "-3"], "n_list"),
         (["magic-scan", "--method", "mc", "--samples", "1"], "samples"),
         (["magic-scan", "--boundary", "periodic"], "boundary"),
+        (["brickwork", "--workers", "0"], "workers"),
+        (["brickwork", "--workers", "-5"], "workers"),
+        (["cooling", "--workers", "0"], "workers"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else v,
 )

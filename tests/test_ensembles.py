@@ -20,7 +20,6 @@ from cmpslab.ensembles import (
     stab_purity_exhaustive,
     stab_sampler,
     stab_states_exhaustive,
-    stabilizer_purity_mean,
 )
 from cmpslab.kernels import Rng
 from cmpslab.tableau import random_clifford, tableau_to_dense
@@ -33,7 +32,6 @@ def test_stab_state_counts():
 
 def test_stab_exhaustive_purity_moments():
     mean, var = stab_purity_exhaustive(2)
-    assert mean == pytest.approx(stabilizer_purity_mean(4), abs=1e-9)
     assert mean == pytest.approx(0.8, abs=1e-9)
     assert var == pytest.approx(purity_fluctuation_formulas(4, "STAB"), abs=1e-9)
     assert var == pytest.approx(0.06, abs=1e-9)

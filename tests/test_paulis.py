@@ -52,17 +52,6 @@ def test_hermitian_construction(data):
     assert np.allclose(m @ m, np.eye(len(m)), atol=1e-12)
 
 
-@given(st.data())
-@settings(max_examples=60, deadline=None)
-def test_commutation_predicate(data):
-    n = data.draw(st.integers(1, 3))
-    draw_bits = lambda: data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
-    a = PauliString.hermitian(draw_bits(), draw_bits())
-    b = PauliString.hermitian(draw_bits(), draw_bits())
-    comm = dense_of(a) @ dense_of(b) - dense_of(b) @ dense_of(a)
-    assert a.commutes_with(b) == np.allclose(comm, 0, atol=1e-12)
-
-
 def test_apply_to_statevector_matches_matrix():
     rng = np.random.default_rng(0)
     for _ in range(10):

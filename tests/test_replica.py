@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cmpslab.ensembles import cmps_sampler, magic_deviation_mc, rmps_sampler
 from cmpslab.kernels import Rng
 from cmpslab.mps import bond_dims
 from cmpslab.replica import (
@@ -16,7 +17,6 @@ from cmpslab.replica import (
     pbc_delta,
     pbc_trace,
     sk_tables,
-    symmetric_projector_pauli_trace,
     transfer_matrix_site,
     transfer_sector,
     transfer_spectrum,
@@ -53,12 +53,6 @@ def test_pauli_weight_examples():
     assert pauli_weight_g((0, 1, 2, 3), 2) == pytest.approx(4.0)  # identity
     assert pauli_weight_g((1, 0, 3, 2), 2) == pytest.approx(4.0)  # (01)(23)
     assert pauli_weight_g((1, 2, 3, 0), 2) == pytest.approx(2.0)  # 4-cycle
-
-
-def test_symmetric_projector_traces():
-    # single qubit, k=4: Tr[P sigma^x4] = 5 for identity, 1 for traceless
-    assert symmetric_projector_pauli_trace(2, True) == pytest.approx(5.0)
-    assert symmetric_projector_pauli_trace(2, False) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("n_sites", [1, 4, 16, 64])
@@ -130,9 +124,11 @@ def test_delta_chi_is_zero_at_the_full_profile(n_sites):
 
 
 def test_delta_chi_mc_agrees_with_analytic():
+    # SREs are Clifford invariant, so RMPS and CMPS share delta_chi
     analytic = delta_chi(4, 2, 2).delta
-    mc = delta_chi(4, 2, 2, method="mc", rng=Rng(13), samples=2500)
-    assert abs(mc.delta - analytic) < 4 * mc.se
+    for sampler in (rmps_sampler(4, 2), cmps_sampler(4, 2)):
+        mc = magic_deviation_mc(sampler, 2, 2500, Rng(13))
+        assert abs(mc.mean - analytic) < 4 * mc.std_error
 
 
 def test_fit_power_law_exact_and_pinned():
