@@ -155,7 +155,7 @@ def magic_scan(config_path, out, seed, n_list, chi_list, sre_list, boundary, met
     method = _resolve(cfg, "method", method, "analytic", ("analytic", "mc"))
     # mc's standard error needs two samples; analytic reads no samples
     samples = _resolve(cfg, "samples", samples, 2000, "int", (2, math.inf) if method == "mc" else None)
-    seed = _resolve(cfg, "seed", seed, 0, "int")
+    seed = _resolve(cfg, "seed", seed, 0, "int", (0, math.inf))
     _check_chis(chis)
     if boundary == "pbc" and method == "mc":
         raise click.ClickException(json.dumps({"error": "config_field", "field": "method", "message": "mc supports obc only"}))
@@ -208,7 +208,7 @@ def brickwork_cmd(config_path, out, seed, workers, n_qubits, chi_list, steps, tr
     chis = _resolve(cfg, "chi_list", chi_list, [2, 4, 8, 16], "int_list")
     steps = _resolve(cfg, "steps", steps, 24, "int", (0, math.inf))
     trajectories = _resolve(cfg, "trajectories", trajectories, 100, "int", (50, math.inf))
-    seed = _resolve(cfg, "seed", seed, 0, "int")
+    seed = _resolve(cfg, "seed", seed, 0, "int", (0, math.inf))
     _check_chis(chis)
     resolved = {"experiment": "brickwork", "n": n_qubits, "chi_list": chis, "steps": steps,
                 "trajectories": trajectories, "seed": seed}
@@ -244,7 +244,7 @@ def design_audit(config_path, out, seed, n_qubits, chi_list, pairs):
     n_qubits = _resolve(cfg, "n", n_qubits, 2, "int", (1, MAX_DENSE_QUBITS))
     chis = _resolve(cfg, "chi_list", chi_list, [1, 2], "int_list")
     pairs = _resolve(cfg, "pairs", pairs, 2000, "int", (2, math.inf))
-    seed = _resolve(cfg, "seed", seed, 0, "int")
+    seed = _resolve(cfg, "seed", seed, 0, "int", (0, math.inf))
     _check_chis(chis)
     resolved = {"experiment": "design-audit", "n": n_qubits, "chi_list": chis, "pairs": pairs, "seed": seed}
     rng = Rng(seed)
@@ -289,7 +289,7 @@ def cooling_cmd(config_path, out, seed, workers, n_list, vt_grid, trajectories, 
     grid = _resolve(cfg, "vt_grid", vt_grid, [0.0, 0.5, 1.0, 2.0], "float_list", (0.0, math.inf))
     trajectories = _resolve(cfg, "trajectories", trajectories, 20, "int", (2, math.inf))
     velocity = _resolve(cfg, "v", velocity, 1, "int", (1, math.inf))
-    seed = _resolve(cfg, "seed", seed, 0, "int")
+    seed = _resolve(cfg, "seed", seed, 0, "int", (0, math.inf))
     resolved = {"experiment": "cooling", "n_list": ns, "vt_grid": grid,
                 "trajectories": trajectories, "v": velocity, "seed": seed}
     rows = cooling_scan(ns, grid, trajectories, Rng(seed), v=velocity, workers=workers)
@@ -301,7 +301,7 @@ def cooling_cmd(config_path, out, seed, workers, n_list, vt_grid, trajectories, 
 @click.option("--seed", type=int, default=0, show_default=True)
 def oracle_suite(seed):
     """Fast self-checks of every analytic pipeline against an independent oracle."""
-    rng = Rng(seed)
+    rng = Rng(_resolve({}, "seed", seed, 0, "int", (0, math.inf)))
     checks = []
 
     def check(name, fn):

@@ -116,42 +116,71 @@ def random_clifford(n, rng):
     |Sp(2n, 2)|, so the output is exactly uniform. Each vector is a Python
     int of 2N bits, bit k holding tableau column k (x part low, z part
     high), so the form is one popcount.
+
+    The random bits of a draw come from one pooled call for uint32 words.
+    A call `g.integers(0, 2, size=m, dtype=np.uint8)` returns the top bit of
+    each byte of ceil(m/4) such words, low byte first, so reading each
+    vector's m bits from the next ceil(m/4) words of the pool (c for v and t
+    for w in each round, then the 2N signs) gives the bits and the stream
+    state of one such call per vector. The pool holds the words of a draw in
+    which no c is all zero; an all-zero c is drawn again from the following
+    words, and each retry draws just the ceil(m/4) words it adds, so every
+    later draw from the stream is unchanged too. This rests on numpy's
+    bounded-integer sampling, which the tests pin against per-vector calls.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     g = rng.gen
+    low = (1 << n) - 1
 
-    def sympl(a, b):
-        return ((a & (b >> n)) ^ ((a >> n) & b)).bit_count() & 1
+    def swap(b):
+        """b with its x and z halves exchanged: <a, b> = parity(a & swap(b))."""
+        return (b >> n) | (b & low) << n
 
     def project(vecs, a, b):
         """The nonzero parts of vecs in the symplectic complement of (a, b)."""
+        sa, sb = swap(a), swap(b)
         out = []
         for u in vecs:
-            u ^= a if sympl(u, b) else 0
-            u ^= b if sympl(u, a) else 0
+            u ^= a if (u & sb).bit_count() & 1 else 0
+            u ^= b if (u & sa).bit_count() & 1 else 0
             if u:
                 out.append(u)
         return out
+
+    def draw_words(count):
+        """The top bit of each byte of count uint32 words, low byte first."""
+        words = g.integers(0, 2**32 - 1, size=count, dtype=np.uint32, endpoint=True)
+        return (np.asarray(words, dtype="<u4").view(np.uint8) >> 7).tolist()
+
+    bits = draw_words(sum(2 * ((m + 3) // 4) for m in range(2, 2 * n + 1, 2)) + (2 * n + 3) // 4)
+    pos = 0  # byte cursor into bits, always at a word boundary
+
+    def take(m):
+        """The m bits of one g.integers(0, 2, size=m, dtype=np.uint8) call."""
+        nonlocal pos
+        start, pos = pos, pos + 4 * ((m + 3) // 4)
+        return bits[start : start + m]
 
     basis = [1 << i for i in range(2 * n)]
     x_rows, z_rows = [], []
     while basis:
         m2 = len(basis)
-        c = g.integers(0, 2, size=m2, dtype=np.uint8)
-        while not c.any():
-            c = g.integers(0, 2, size=m2, dtype=np.uint8)
+        c = take(m2)
+        while not any(c):
+            bits += draw_words((m2 + 3) // 4)
+            c = take(m2)
         v = 0
-        for u, cj in zip(basis, c.tolist()):
+        for u, cj in zip(basis, c):
             if cj:
                 v ^= u
-        f = [sympl(v, u) for u in basis]
+        sv = swap(v)
+        f = [(u & sv).bit_count() & 1 for u in basis]
         p = f.index(1)
         # w uniform over {<v,w> = 1}: pivot + random kernel combination,
         # kernel basis {basis_j + f_j basis_p : j != p}
         w = basis[p]
-        t = g.integers(0, 2, size=m2, dtype=np.uint8)
-        for j, (u, tj) in enumerate(zip(basis, t.tolist())):
+        for j, (u, tj) in enumerate(zip(basis, take(m2))):
             if j != p and tj:
                 w ^= u ^ (basis[p] if f[j] else 0)
         x_rows.append(v)
@@ -161,16 +190,18 @@ def random_clifford(n, rng):
         cand = project(basis, v, w)
         a_rows, b_rows = [], []
         while cand:
-            j = next(k for k, u in enumerate(cand) if sympl(cand[0], u))
+            s0 = swap(cand[0])
+            j = next(k for k, u in enumerate(cand) if (u & s0).bit_count() & 1)
             a_rows.append(cand[0])
             b_rows.append(cand[j])
             cand = project(cand[1:j] + cand[j + 1:], cand[0], cand[j])
         if len(a_rows) != m2 // 2 - 1:
             raise RuntimeError("symplectic complement extraction failed")
         basis = a_rows + b_rows
-    mat = np.array([[r >> k & 1 for k in range(2 * n)] for r in x_rows + z_rows], dtype=np.uint8)
-    signs = g.integers(0, 2, size=2 * n, dtype=np.uint8)
-    return CliffordTableau(n, mat, signs)
+    # bit k of each row integer is tableau column k
+    packed = b"".join(r.to_bytes((2 * n + 7) // 8, "little") for r in x_rows + z_rows)
+    mat = np.unpackbits(np.frombuffer(packed, dtype=np.uint8).reshape(2 * n, -1), axis=1, count=2 * n, bitorder="little")
+    return CliffordTableau(n, mat, take(2 * n))
 
 
 @functools.cache
@@ -228,6 +259,31 @@ def enumerate_clifford_group(n):
     return [CliffordTableau(n, mat[i], sign[i], word=words[i]) for i in range(len(mat))]
 
 
+@functools.cache
+def _dense_tables(n):
+    """Read-only tables of `tableaux_to_dense` for n qubits: the (2, 2n)
+    weights that turn tableau rows into x and z site masks, arange(2^n), the
+    phase i^(2s + k) of an image with sign bit s and k Y sites, the parity
+    sign (-1)^|m| of each mask m, and the identity blocks of the trial basis
+    vectors, 8, 16, 32, ... at a time."""
+    d = 1 << n
+    weights = np.zeros((2, 2 * n), dtype=np.int64)
+    weights[0, :n] = weights[1, n:] = 1 << np.arange(n - 1, -1, -1)  # site 0 = most significant bit
+    idx = np.arange(d)
+    phase = np.array(PHASES)[(2 * np.arange(2)[:, None] + np.arange(n + 1)) % 4][..., None, None]
+    parity = np.where(np.bitwise_count(idx) % 2, -1.0, 1.0)[:, None]
+    blocks, start = [], 0
+    while start < d:
+        size = min(d, 2 * start + 8) - start
+        block = np.zeros((d, size), dtype=complex)
+        block[start + np.arange(size), np.arange(size)] = 1.0
+        blocks.append(block)
+        start += size
+    for a in (weights, idx, phase, parity, *blocks):
+        a.flags.writeable = False
+    return weights, idx, phase, parity, tuple(blocks)
+
+
 def tableaux_to_dense(mat, signs, out):
     """Dense unitaries of a batch of n-qubit tableaux, written into out.
 
@@ -238,44 +294,51 @@ def tableaux_to_dense(mat, signs, out):
     level at a time from the most significant down, one gather per level for
     every column of that level in the whole batch. The global phase makes the
     first nonzero entry of column 0 positive real.
+
+    Everything that depends on n alone (the mask weights, arange(2^n), the
+    phase and parity tables and the identity trial blocks) is built once per
+    n and cached (`_dense_tables`). Each gather reads the batch as one
+    (B 2^n, L) stack through flat row indices, and the rows of out and of
+    the trial blocks are picked by integer index, so a batch of one costs
+    few numpy calls.
     """
     bsz, n = len(mat), mat.shape[1] // 2
     d = 1 << n
-    weights = 1 << np.arange(n - 1, -1, -1)  # site 0 = most significant bit
-    masks = mat.reshape(bsz, 2 * n, 2, n) @ weights
-    xm, zm = masks[:, :, 0], masks[:, :, 1]  # (B, 2n) x and z masks of each image
-    phase = np.array(PHASES)[(2 * signs + np.bitwise_count(xm & zm)) % 4][:, :, None, None]
-    src = np.arange(d) ^ xm[:, :, None]  # (B, 2n, d)
-    sign = np.where(np.bitwise_count(src & zm[:, :, None]) % 2, -1.0, 1.0)[..., None]
-    batch = np.arange(bsz)[:, None]
+    weights, idx, phase_table, parity, blocks = _dense_tables(n)
+    masks = weights @ mat.transpose(0, 2, 1)
+    xm, zm = masks[:, 0], masks[:, 1]  # (B, 2n) x and z masks of each image
+    phase = phase_table[signs, np.bitwise_count(xm & zm)]  # (B, 2n, 1, 1)
+    batch = np.arange(bsz)
+    # flat row of each source entry, (B, 2n, d): i ^ x of tableau b is row b d + (i ^ x)
+    src = idx ^ (xm + d * batch[:, None])[:, :, None]
+    sign = parity[src & zm[:, :, None]]  # (B, 2n, d, 1); zm masks off the row offset
 
     def apply(r, vec):
         """Generator image r of each tableau on its columns vec (B, d, L),
         with the operations of apply_to_statevector."""
-        return phase[:, r] * vec[batch, src[:, r]] * sign[:, r]
+        return phase[:, r] * vec.reshape(bsz * d, -1)[src[:, r]] * sign[:, r]
 
-    found = np.zeros(bsz, dtype=bool)
-    start = 0
-    while not found.all():  # trial basis vectors in blocks of 8, 16, 32, ...
-        if start == d:
-            raise RuntimeError("failed to construct stabilizer state")
-        trials = np.arange(start, min(d, 2 * start + 8))
-        v = np.zeros((bsz, d, len(trials)), dtype=complex)
-        v[:, trials, np.arange(len(trials))] = 1.0
+    todo = batch  # tableaux whose column 0 is still missing
+    for block in blocks:
+        v = block[None].repeat(bsz, axis=0)
         for i in range(n):
             v = 0.5 * (v + apply(n + i, v))
         nrm = np.sqrt(np.sum((v.conj() * v).real, axis=1))  # exact: dyadic entries
-        hit = nrm > 1e-8
-        new = hit.any(axis=1) & ~found
-        first = np.argmax(hit, axis=1)[new]
-        out[new, :, 0] = v[new, :, first] / nrm[new, first][:, None]  # out[:, :, b] is column b
-        found |= new
-        start = trials[-1] + 1
+        first = np.argmax(nrm > 1e-8, axis=1)
+        scale = nrm[batch, first]
+        hit = scale[todo] > 1e-8
+        new = todo[hit]
+        out[new, :, 0] = v[new, :, first[new]] / scale[new, None]  # out[:, :, b] is column b
+        todo = todo[~hit]
+        if not len(todo):
+            break
+    else:
+        raise RuntimeError("failed to construct stabilizer state")
     for j in range(n):
         low = 1 << (n - 1 - j)
         out[:, :, low :: 2 * low] = apply(j, out[:, :, :: 2 * low])
     nz = np.argmax(np.abs(out[:, :, 0]) > 1e-12, axis=1)
-    pivot = out[batch[:, 0], nz, 0]
+    pivot = out[batch, nz, 0]
     np.multiply(out, (np.abs(pivot) / pivot)[:, None, None], out=out)
     return out
 

@@ -129,15 +129,19 @@ def test_bad_workers_env_is_machine_readable(runner):
         assert payload["field"] == "workers"
 
 
-def _config_error(runner, tmp_path, cfg, command="magic-scan"):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    result = runner.invoke(main, [command, "--config", str(path), "--out", "-"])
+def _error_payload(result):
+    """The one-line JSON diagnostic of a failed command."""
     assert result.exit_code != 0
     assert "Traceback" not in result.output
     line = result.output.split("Error: ", 1)[1]
     assert line.count("\n") == 1
     return json.loads(line)
+
+
+def _config_error(runner, tmp_path, cfg, command="magic-scan"):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return _error_payload(runner.invoke(main, [command, "--config", str(path), "--out", "-"]))
 
 
 def test_unknown_boundary_in_config_is_machine_readable(runner, tmp_path):
@@ -218,15 +222,26 @@ def test_mc_beyond_dense_limit_is_machine_readable(runner, tmp_path):
         (["brickwork", "--workers", "0"], "workers"),
         (["brickwork", "--workers", "-5"], "workers"),
         (["cooling", "--workers", "0"], "workers"),
+        (["magic-scan", "--seed", "-1"], "seed"),
+        (["brickwork", "--seed", "-1"], "seed"),
+        (["design-audit", "--pairs", "2", "--seed", "-1"], "seed"),
+        (["cooling", "--seed", "-1"], "seed"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else v,
 )
 def test_out_of_range_flag_is_machine_readable(runner, args, field):
-    result = runner.invoke(main, args + ["--out", "-"])
-    assert result.exit_code != 0
-    assert "Traceback" not in result.output
-    line = result.output.split("Error: ", 1)[1]
-    assert line.count("\n") == 1
-    payload = json.loads(line)
+    payload = _error_payload(runner.invoke(main, args + ["--out", "-"]))
     assert payload["error"] == "config_field"
     assert payload["field"] == field
+
+
+def test_negative_oracle_suite_seed_is_machine_readable(runner):
+    payload = _error_payload(runner.invoke(main, ["oracle-suite", "--seed", "-1"]))
+    assert payload["error"] == "config_field"
+    assert payload["field"] == "seed"
+
+
+def test_negative_seed_in_config_is_machine_readable(runner, tmp_path):
+    payload = _config_error(runner, tmp_path, {"n": 2, "chi_list": [1], "pairs": 2, "seed": -1}, "design-audit")
+    assert payload["error"] == "config_field"
+    assert payload["field"] == "seed"

@@ -12,6 +12,7 @@ from cmpslab.tableau import (
     random_clifford,
     tableau_from_circuit,
     tableau_to_dense,
+    tableaux_to_dense,
 )
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -195,6 +196,100 @@ def test_random_clifford_pinned(n):
         assert hashlib.sha256(dense).hexdigest() == PINNED_RANDOM_DENSE[n]
 
 
+def reference_random_clifford(n, rng):
+    """The sampler before pooled words: one g.integers(0, 2, size=m,
+    dtype=np.uint8) call per vector (each c retry, each t, then the signs),
+    so 2n + 1 calls when no c is all zero."""
+    g = rng.gen
+
+    def sympl(a, b):
+        return ((a & (b >> n)) ^ ((a >> n) & b)).bit_count() & 1
+
+    def project(vecs, a, b):
+        out = []
+        for u in vecs:
+            u ^= a if sympl(u, b) else 0
+            u ^= b if sympl(u, a) else 0
+            if u:
+                out.append(u)
+        return out
+
+    basis = [1 << i for i in range(2 * n)]
+    x_rows, z_rows = [], []
+    while basis:
+        m2 = len(basis)
+        c = g.integers(0, 2, size=m2, dtype=np.uint8)
+        while not c.any():
+            c = g.integers(0, 2, size=m2, dtype=np.uint8)
+        v = 0
+        for u, cj in zip(basis, c.tolist()):
+            if cj:
+                v ^= u
+        f = [sympl(v, u) for u in basis]
+        p = f.index(1)
+        w = basis[p]
+        t = g.integers(0, 2, size=m2, dtype=np.uint8)
+        for j, (u, tj) in enumerate(zip(basis, t.tolist())):
+            if j != p and tj:
+                w ^= u ^ (basis[p] if f[j] else 0)
+        x_rows.append(v)
+        z_rows.append(w)
+        cand = project(basis, v, w)
+        a_rows, b_rows = [], []
+        while cand:
+            j = next(k for k, u in enumerate(cand) if sympl(cand[0], u))
+            a_rows.append(cand[0])
+            b_rows.append(cand[j])
+            cand = project(cand[1:j] + cand[j + 1:], cand[0], cand[j])
+        basis = a_rows + b_rows
+    mat = np.array([[r >> k & 1 for k in range(2 * n)] for r in x_rows + z_rows], dtype=np.uint8)
+    signs = g.integers(0, 2, size=2 * n, dtype=np.uint8)
+    return CliffordTableau(n, mat, signs)
+
+
+class CountingGen:
+    """A Generator proxy that counts its integers calls."""
+
+    def __init__(self, gen):
+        self.gen, self.calls = gen, 0
+
+    def integers(self, *args, **kwargs):
+        self.calls += 1
+        return self.gen.integers(*args, **kwargs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8])
+def test_pooled_draw_keeps_tableau_and_stream(n):
+    """Pooled words give the reference's tableau and leave the stream where
+    the reference leaves it: n = 1 retries c in a quarter of its draws, and
+    an odd word count leaves half a PCG64 output buffered."""
+    for seed in range(200):
+        a, b = Rng(seed), Rng(seed)
+        assert random_clifford(n, a).key() == reference_random_clifford(n, b).key()
+        assert a.gen.random() == b.gen.random()
+        assert a.gen.normal(size=3).tobytes() == b.gen.normal(size=3).tobytes()
+        bits = [r.gen.integers(0, 2, size=5, dtype=np.uint8).tobytes() for r in (a, b)]
+        assert bits[0] == bits[1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_pooled_draw_makes_one_integers_call_per_draw(n):
+    """One integers call per draw, and at most one more per c retry, counted
+    as the reference's calls beyond its 2n + 1."""
+    retried = 0
+    for seed in range(100):
+        new, ref = Rng(seed), Rng(seed)
+        new.gen, ref.gen = CountingGen(new.gen), CountingGen(ref.gen)
+        random_clifford(n, new)
+        reference_random_clifford(n, ref)
+        retries = ref.gen.calls - (2 * n + 1)
+        retried += retries > 0
+        assert new.gen.calls <= 1 + retries
+        assert retries or new.gen.calls == 1
+    if n == 1:  # a quarter of n = 1 draws retry c, so the retry bound is exercised
+        assert retried
+
+
 def dense_by_columns(t):
     """Reference densifier: U|0...0> from the first trial basis vector with a
     nonzero projection, then one apply_to_statevector per column."""
@@ -223,6 +318,18 @@ def test_tableau_to_dense_matches_column_loop(n):
     for i in range(8):
         t = random_clifford(n, Rng(77).child(i))
         assert tableau_to_dense(t).tobytes() == dense_by_columns(t).tobytes()
+
+
+def test_batch_matches_single_tableaux_across_trial_blocks():
+    """A batch whose column-0 states sit in different trial blocks gives each
+    tableau the bytes it gets alone."""
+    n, d = 5, 32
+    tabs = [random_clifford(n, Rng(31).child(i)) for i in range(24)]
+    singles = [tableau_to_dense(t) for t in tabs]
+    assert any(np.abs(u[:8, 0]).max() < 1e-12 for u in singles)  # missed by the first block of 8
+    out = np.empty((len(tabs), d, d), dtype=complex)
+    tableaux_to_dense(np.stack([t.mat for t in tabs]), np.stack([t.signs for t in tabs]), out)
+    assert out.tobytes() == np.stack(singles).tobytes()
 
 
 def test_dense_group_build_memory():
