@@ -79,6 +79,15 @@ def _resolve(cfg, field, override, default, kind, bounds=None):
     return val
 
 
+def _reject_unread(cfg, resolved, flags=()):
+    """Fail on the first config field or given flag, in sorted order, that
+    the run does not read; `experiment` is the run's name, not a field."""
+    unread = sorted((set(cfg) | set(flags)) - (set(resolved) - {"experiment"}))
+    if unread:
+        raise click.ClickException(json.dumps(
+            {"error": "config_field", "field": unread[0], "message": f"not read by {resolved['experiment']} with this config"}))
+
+
 def _check_chis(chis):
     for c in chis:
         if c < 1 or (c & (c - 1)):
@@ -153,17 +162,19 @@ def magic_scan(config_path, out, seed, n_list, chi_list, sre_list, boundary, met
     sres = _resolve(cfg, "sre_list", sre_list, [2, 3], "int_list", (2, 3))
     boundary = _resolve(cfg, "boundary", boundary, "obc", ("obc", "pbc"))
     method = _resolve(cfg, "method", method, "analytic", ("analytic", "mc"))
-    # mc's standard error needs two samples; analytic reads no samples
-    samples = _resolve(cfg, "samples", samples, 2000, "int", (2, math.inf) if method == "mc" else None)
     seed = _resolve(cfg, "seed", seed, 0, "int", (0, math.inf))
+    resolved = {"experiment": "magic-scan", "n_list": ns, "chi_list": chis, "sre_list": sres,
+                "boundary": boundary, "method": method, "seed": seed}
+    if method == "mc":
+        # mc's standard error needs two samples; analytic and pbc read none
+        resolved["samples"] = samples = _resolve(cfg, "samples", samples, 2000, "int", (2, math.inf))
+    _reject_unread(cfg, resolved, ["samples"] if samples is not None else [])
     _check_chis(chis)
     if boundary == "pbc" and method == "mc":
         raise click.ClickException(json.dumps({"error": "config_field", "field": "method", "message": "mc supports obc only"}))
     if method == "mc" and max(ns) > MAX_SRE_QUBITS:
         raise click.ClickException(json.dumps(
             {"error": "config_field", "field": "n_list", "message": f"mc evaluates SREs densely, so N <= {MAX_SRE_QUBITS}"}))
-    resolved = {"experiment": "magic-scan", "n_list": ns, "chi_list": chis, "sre_list": sres,
-                "boundary": boundary, "method": method, "samples": samples, "seed": seed}
     rng = Rng(seed)
     rows, fits = [], []
     for big_n in ns:
@@ -209,9 +220,10 @@ def brickwork_cmd(config_path, out, seed, workers, n_qubits, chi_list, steps, tr
     steps = _resolve(cfg, "steps", steps, 24, "int", (0, math.inf))
     trajectories = _resolve(cfg, "trajectories", trajectories, 100, "int", (50, math.inf))
     seed = _resolve(cfg, "seed", seed, 0, "int", (0, math.inf))
-    _check_chis(chis)
     resolved = {"experiment": "brickwork", "n": n_qubits, "chi_list": chis, "steps": steps,
                 "trajectories": trajectories, "seed": seed}
+    _reject_unread(cfg, resolved)
+    _check_chis(chis)
     rows, plateaus = brickwork_scan(n_qubits, chis, steps, trajectories, Rng(seed), workers=workers)
     comments = [
         "plateau chi={chi} delta2={delta2_plateau!r} se={delta2_se!r} "
@@ -245,8 +257,9 @@ def design_audit(config_path, out, seed, n_qubits, chi_list, pairs):
     chis = _resolve(cfg, "chi_list", chi_list, [1, 2], "int_list")
     pairs = _resolve(cfg, "pairs", pairs, 2000, "int", (2, math.inf))
     seed = _resolve(cfg, "seed", seed, 0, "int", (0, math.inf))
-    _check_chis(chis)
     resolved = {"experiment": "design-audit", "n": n_qubits, "chi_list": chis, "pairs": pairs, "seed": seed}
+    _reject_unread(cfg, resolved)
+    _check_chis(chis)
     rng = Rng(seed)
     d = 1 << n_qubits
     rows = []
@@ -292,6 +305,7 @@ def cooling_cmd(config_path, out, seed, workers, n_list, vt_grid, trajectories, 
     seed = _resolve(cfg, "seed", seed, 0, "int", (0, math.inf))
     resolved = {"experiment": "cooling", "n_list": ns, "vt_grid": grid,
                 "trajectories": trajectories, "v": velocity, "seed": seed}
+    _reject_unread(cfg, resolved)
     rows = cooling_scan(ns, grid, trajectories, Rng(seed), v=velocity, workers=workers)
     _write_csv(out, ["n", "v", "t_count", "vt_over_n", "input_sn", "input_sn_se",
                      "cooled_sn", "cooled_sn_se", "trajectories"], rows, resolved, seed)

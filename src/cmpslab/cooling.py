@@ -153,7 +153,7 @@ def cool(state, sweeps=None):
     if sweeps is None:
         sweeps = n
     gates = _coset_gates()
-    group = enumerate_clifford_group(2)  # group[COSETS[i]].word: gate i's circuit, last-applied first
+    _, _, words = enumerate_clifford_group(2)  # words[COSETS[i]]: gate i's circuit, last-applied first
     input_max = _max_cut_entropy(psi)
     trace = [input_max]
     circuit = []
@@ -168,7 +168,7 @@ def cool(state, sweeps=None):
             current = entanglement_entropy(psi, bond + 1)
             assert ents[idx] <= current + 1e-9, "accepted move increased the cut entropy"
             psi = apply_gate(psi, gates[idx], (bond, bond + 1))
-            circuit.extend((name, [bond + q for q in qubits]) for name, qubits in reversed(group[COSETS[idx]].word))
+            circuit.extend((name, [bond + q for q in qubits]) for name, qubits in reversed(words[COSETS[idx]]))
             moved = True
         sweeps_run += 1
         trace.append(_max_cut_entropy(psi))

@@ -19,19 +19,19 @@ from .paulis import PHASES, PauliString, site_bits
 class CliffordTableau:
     """Symplectic binary tableau + sign bits for an N-qubit Clifford."""
 
-    __slots__ = ("n", "mat", "signs", "word")
+    __slots__ = ("n", "mat", "signs")
 
-    def __init__(self, n, mat, signs, word=None):
+    def __init__(self, n, mat, signs):
+        """mat and signs hold 0/1 entries; uint8 arrays are kept as given."""
         self.n = n
-        self.mat = np.asarray(mat, dtype=np.uint8) % 2
-        self.signs = np.asarray(signs, dtype=np.uint8) % 2
+        self.mat = np.asarray(mat, dtype=np.uint8)
+        self.signs = np.asarray(signs, dtype=np.uint8)
         if self.mat.shape != (2 * n, 2 * n) or self.signs.shape != (2 * n,):
             raise ValueError("tableau shape mismatch")
-        self.word = word  # optional generator word [(name, qubits), ...]
 
     @classmethod
     def identity(cls, n):
-        return cls(n, np.eye(2 * n, dtype=np.uint8), np.zeros(2 * n, dtype=np.uint8), word=[])
+        return cls(n, np.eye(2 * n, dtype=np.uint8), np.zeros(2 * n, dtype=np.uint8))
 
     def key(self):
         return self.mat.tobytes() + self.signs.tobytes()
@@ -77,10 +77,7 @@ class CliffordTableau:
             mat[r, :n] = site_bits(n, img.x)
             mat[r, n:] = site_bits(n, img.z)
             signs[r] = img.sign_pow // 2
-        word = None
-        if self.word is not None and other.word is not None:
-            word = self.word + other.word
-        return CliffordTableau(n, mat, signs, word=word)
+        return CliffordTableau(n, mat, signs)
 
 
 def _conjugate_rows(mat, signs, name, qubits, n):
@@ -206,22 +203,23 @@ def random_clifford(n, rng):
 
 @functools.cache
 def enumerate_clifford_group(n):
-    """All 24 (n=1) or 11520 (n=2) Cliffords mod global phase.
+    """All 24 (n=1) or 11520 (n=2) Cliffords mod global phase, as the
+    arrays (mat, signs, words): read-only tableau matrices of shape
+    (G, 2n, 2n) and sign bits (G, 2n), and the tuple of the G generator words.
 
     Breadth-first closure under the generators H_q, S_q (and CNOT both ways
     for n=2), one level at a time: each generator conjugates the rows of the
     whole frontier at once, and a candidate joins the group at its first
     occurrence in (parent, generator) order. The order is therefore fixed:
-    identity first, then by generator-word length. Each returned tableau
-    carries its word in (H, S, CNOT), last-applied gate first.
+    identity first, then by generator-word length. Element i's word is a
+    tuple of (name, qubits) in (H, S, CNOT), last-applied gate first.
     """
     if n not in (1, 2):
         raise ValueError("exhaustive enumeration supported for n in {1, 2}")
     gens = [("H", [q]) for q in range(n)] + [("S", [q]) for q in range(n)]
     if n == 2:
         gens += [("CNOT", [0, 1]), ("CNOT", [1, 0])]
-    ident = CliffordTableau.identity(n)
-    mats, signs = [ident.mat[None]], [ident.signs[None]]
+    mats, signs = [np.eye(2 * n, dtype=np.uint8)[None]], [np.zeros((1, 2 * n), dtype=np.uint8)]
     weights = 1 << np.arange(4 * n * n + 2 * n, dtype=np.int64)
 
     def keys(m, s):
@@ -253,10 +251,11 @@ def enumerate_clifford_group(n):
     expected = {1: 24, 2: 11520}[n]
     if len(mat) != expected:
         raise RuntimeError(f"group closure found {len(mat)} elements, expected {expected}")
-    words = [[]]
+    words = [()]
     for i in range(1, len(mat)):
-        words.append([gens[gen[i]]] + words[parent[i]])
-    return [CliffordTableau(n, mat[i], sign[i], word=words[i]) for i in range(len(mat))]
+        words.append((gens[gen[i]],) + words[parent[i]])
+    mat.flags.writeable = sign.flags.writeable = False
+    return mat, sign, tuple(words)
 
 
 @functools.cache
@@ -356,11 +355,10 @@ def tableau_to_dense(t):
 def tableau_from_circuit(gates, n):
     """Tableau of a gate list (Clifford gates only, first-applied first): each
     gate conjugates the rows of the identity tableau in turn, by the rules of
-    `_conjugate_rows`. The word lists the gates last-applied first."""
+    `_conjugate_rows`. Returns the tableau alone: it keeps no gate list."""
     t = CliffordTableau.identity(n)
     for name, qubits in gates:
         if name == "T":
             raise ValueError("T gate is not Clifford")
         _conjugate_rows(t.mat, t.signs, name, qubits, n)
-        t.word.insert(0, (name, list(qubits)))
     return t

@@ -245,3 +245,29 @@ def test_negative_seed_in_config_is_machine_readable(runner, tmp_path):
     payload = _config_error(runner, tmp_path, {"n": 2, "chi_list": [1], "pairs": 2, "seed": -1}, "design-audit")
     assert payload["error"] == "config_field"
     assert payload["field"] == "seed"
+
+
+@pytest.mark.parametrize(
+    "command,cfg,field",
+    [
+        ("magic-scan", {"n_list": [8], "chis": [2]}, "chis"),
+        ("brickwork", {"n": 4, "chi_list": [2], "steps": 1, "trajectories": 50, "workers": 2}, "workers"),
+        ("design-audit", {"experiment": "design-audit", "n": 2, "chi_list": [1], "pairs": 2}, "experiment"),
+        ("cooling", {"n_list": [4], "vt_grid": [0], "trajectories": 2, "velocity": 2, "t_count": 1}, "t_count"),
+    ],
+    ids=lambda v: json.dumps(v) if isinstance(v, dict) else v,
+)
+def test_unread_config_field_is_machine_readable(runner, tmp_path, command, cfg, field):
+    payload = _config_error(runner, tmp_path, cfg, command)
+    assert payload["error"] == "config_field"
+    assert payload["field"] == field
+
+
+@pytest.mark.parametrize("boundary", ["obc", "pbc"])
+def test_samples_outside_mc_is_machine_readable(runner, tmp_path, boundary):
+    flag = _error_payload(runner.invoke(
+        main, ["magic-scan", "--n-list", "8", "--chi-list", "2,4", "--boundary", boundary, "--samples", "5", "--out", "-"]))
+    cfg = _config_error(runner, tmp_path, {"n_list": [8], "chi_list": [2, 4], "boundary": boundary, "samples": 5})
+    for payload in (flag, cfg):
+        assert payload["error"] == "config_field"
+        assert payload["field"] == "samples"

@@ -104,7 +104,7 @@ def test_coset_table_rebuilt_from_enumeration(monkeypatch):
     from cmpslab import cooling
     from cmpslab.cooling import COSETS, _coset_gates
     from cmpslab.dense import dense_clifford_group
-    from cmpslab.tableau import enumerate_clifford_group, tableau_from_circuit
+    from cmpslab.tableau import CliffordTableau, enumerate_clifford_group, tableau_from_circuit
 
     group = dense_clifford_group(2)
 
@@ -126,14 +126,14 @@ def test_coset_table_rebuilt_from_enumeration(monkeypatch):
     assert list(COSETS) == firsts
     assert _coset_gates().tobytes() == group[firsts].tobytes()
     # cool emits the chosen coset's word, first-applied gate first
-    tabs = enumerate_clifford_group(2)
+    mat, signs, words = enumerate_clifford_group(2)
     for k, i in enumerate(COSETS):
         ents = np.ones(len(COSETS))
         ents[k] = 0.0
         monkeypatch.setattr(cooling, "_candidate_entropies", lambda psi, bond: ents)
         emitted = cool(zero_state(2), sweeps=1).circuit
-        assert emitted == list(reversed(tabs[i].word))
-        assert tableau_from_circuit(emitted, 2) == tabs[i]
+        assert emitted == list(reversed(words[i]))
+        assert tableau_from_circuit(emitted, 2) == CliffordTableau(2, mat[i], signs[i])
     # class split 1 + 9 + 9 + 1: operator Schmidt rank 1 (local), 2 (CNOT-like),
     # 4 (iSWAP- and SWAP-like)
     ranks = np.sum(schmidt(_coset_gates()) > 1e-9, axis=1)
@@ -149,7 +149,7 @@ def full_group_cool(psi, sweeps):
     from cmpslab.tableau import enumerate_clifford_group
 
     group = dense_clifford_group(2)
-    words = [t.word for t in enumerate_clifford_group(2)]
+    _, _, words = enumerate_clifford_group(2)
     n = int(np.log2(len(psi)))
 
     def max_cut(v):

@@ -97,8 +97,8 @@ def test_random_clifford_is_symplectic_and_deterministic():
 
 
 def test_random_clifford_uniform_on_single_qubit():
-    group = enumerate_clifford_group(1)
-    keys = {t.key(): 0 for t in group}
+    mat, signs, _ = enumerate_clifford_group(1)
+    keys = {CliffordTableau(1, m, s).key(): 0 for m, s in zip(mat, signs)}
     rng = Rng(11)
     draws = 6000
     for _ in range(draws):
@@ -111,8 +111,26 @@ def test_random_clifford_uniform_on_single_qubit():
 
 
 def test_group_enumeration_sizes():
-    assert len(enumerate_clifford_group(1)) == 24
-    assert len(enumerate_clifford_group(2)) == 11520
+    assert len(enumerate_clifford_group(1)[0]) == 24
+    assert len(enumerate_clifford_group(2)[0]) == 11520
+
+
+@pytest.mark.parametrize("n,size", [(1, 24), (2, 11520)])
+def test_group_enumeration_is_read_only_arrays(n, size):
+    mat, signs, words = enumerate_clifford_group(n)
+    assert mat.shape == (size, 2 * n, 2 * n) and signs.shape == (size, 2 * n)
+    assert mat.dtype == signs.dtype == np.uint8
+    assert not mat.flags.writeable and not signs.flags.writeable
+    assert isinstance(words, tuple) and len(words) == size
+    with pytest.raises(ValueError):
+        mat[0, 0, 0] = 0
+
+
+def test_tableau_keeps_uint8_input():
+    t = random_clifford(3, Rng(4))
+    mat, signs = t.mat.copy(), t.signs.copy()
+    kept = CliffordTableau(3, mat, signs)
+    assert kept.mat is mat and kept.signs is signs
 
 
 # sha256 of the enumeration: ordered tableau keys, ordered generator words
@@ -132,9 +150,9 @@ PINNED_ENUMERATION = {
 def test_group_enumeration_pinned(n):
     from cmpslab.dense import dense_clifford_group
 
-    group = enumerate_clifford_group(n)
-    keys = hashlib.sha256(b"".join(t.key() for t in group)).hexdigest()
-    words = hashlib.sha256(json.dumps([t.word for t in group]).encode()).hexdigest()
+    mat, signs, words = enumerate_clifford_group(n)
+    keys = hashlib.sha256(np.concatenate([mat.reshape(len(mat), -1), signs], axis=1).tobytes()).hexdigest()
+    words = hashlib.sha256(json.dumps(words).encode()).hexdigest()
     dense = hashlib.sha256(dense_clifford_group(n).tobytes()).hexdigest()
     assert (keys, words, dense) == PINNED_ENUMERATION[n]
 
@@ -374,7 +392,7 @@ def one_gate_tableau(name, qubits, n):
         c, t = qubits
         mat[c, t] = 1  # X_c -> X_c X_t
         mat[n + t, n + c] = 1  # Z_t -> Z_c Z_t
-    return CliffordTableau(n, mat, np.zeros(2 * n, dtype=np.uint8), word=[(name, list(qubits))])
+    return CliffordTableau(n, mat, np.zeros(2 * n, dtype=np.uint8))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -391,7 +409,6 @@ def test_tableau_from_circuit_matches_compose_chain(n):
             chain = one_gate_tableau(name, qubits, n).compose(chain)
         t = tableau_from_circuit(gates, n)
         assert t.key() == chain.key()
-        assert t.word == chain.word
 
 
 def test_tableau_from_circuit_rejects_t():
