@@ -337,6 +337,13 @@ def oracle_suite(seed):
             w = weingarten_matrix(k, q)
             assert np.max(np.abs(g @ w - np.eye(len(g)))) < 1e-10
 
+    def exact_pseudo_inverse():
+        from .replica import _class_matrix, weingarten_sector
+        for k, q in ((6, 2), (6, 4), (6, 16), (4, 2)):
+            g = _class_matrix(k, q)
+            w = weingarten_sector(k, q)
+            assert np.array_equal(g @ w @ g, g) and np.array_equal(w @ g @ w, w)
+
     def product_law():
         from .replica import obc_chain_value
         for big_n in (4, 16, 64):
@@ -394,6 +401,7 @@ def oracle_suite(seed):
 
     check("weingarten_k2_closed_form", weingarten_k2)
     check("gram_times_weingarten_identity", gram_times_wg)
+    check("weingarten_sector_exact_pseudo_inverse", exact_pseudo_inverse)
     check("chi1_product_law", product_law)
     check("obc_identity_chain_norm", chain_norm)
     check("replica_class_sector_vs_full", class_sector_vs_full)

@@ -11,12 +11,16 @@ A, and products of operators are products of class matrices. So the OBC
 chain and the leading bulk eigenvalue live on the p(k) classes (5 for k=4,
 11 for k=6) instead of the k! permutations.
 
-Class matrices are exact integer and rational object arrays. The Weingarten
-operator is W = G (G^3)^- G for the Gram class matrix G: any solution y of
-G^3 y = G b gives G y = G^+ b, which is G^-1 b when q >= k and the
-Moore-Penrose pseudo-inverse (the Weingarten function at small dimension)
-when q < k. Full k! x k! matrices, needed for periodic spectra, gather exact
-class values over the class-label table.
+A class matrix of x^{c(sigma^-1 beta)} needs only the p(k) rows rho_A^-1 beta:
+their cycle counts per class make it an integer polynomial in x. The
+Weingarten operator is W = G (G^3)^- G for the Gram class matrix G: any
+solution y of G^3 y = G b gives G y = G^+ b, which is G^-1 b when q >= k and
+the Moore-Penrose pseudo-inverse (the Weingarten function at small
+dimension) when q < k. The solve, W and the transfer sectors run on integer
+numerators over one denominator, in object arrays, and become Fractions or
+doubles once, at the end. Full k! x k! matrices, needed for periodic spectra,
+gather exact class values over the class-label table of `sk_tables`; the
+open chain never builds it.
 """
 
 from __future__ import annotations
@@ -78,63 +82,116 @@ def sk_tables(k):
 
 
 @functools.cache
+def _class_data(k):
+    """(representatives, sizes, counts) of the conjugacy classes of S_k.
+
+    Classes are numbered as in `sk_tables`; each representative is the first
+    member in itertools order. counts[A, B, c] is the number of beta in
+    class B with c(rho_A^-1 beta) = c, read from the p(k) rows rho_A^-1 beta
+    alone, so a class matrix is the integer polynomial sum_c counts[..., c] x^c.
+    """
+    if k > 6:
+        raise ValueError("replica calculus supports k <= 6")
+    perms = np.array(list(itertools.permutations(range(k))))
+    # the sorted lengths of the cycles through the k points fix the cycle type
+    length, power = np.zeros_like(perms), perms
+    for m in range(1, k + 1):
+        length[(power == np.arange(k)) & (length == 0)] = m
+        power = np.take_along_axis(perms, power, axis=1)
+    types, first, of, sizes = np.unique(
+        np.sort(length, axis=1), axis=0, return_index=True, return_inverse=True, return_counts=True)
+    of = of.reshape(-1)  # some numpy 2.x releases return it 2-D when axis is given
+    ncycles = np.rint(np.sum(1 / types, axis=1)).astype(int)  # each cycle has 1/length per point
+    # row A * k! + j is perms[j] composed with rho_A^-1, conjugate to
+    # rho_A^-1 perms[j]; read as base-k numbers, perms are in increasing order
+    rows = perms[:, np.argsort(perms[first], axis=1)].transpose(1, 0, 2).reshape(-1, k)
+    code = k ** np.arange(k - 1, -1, -1)
+    rank = np.searchsorted(perms @ code, rows @ code)
+    p = len(types)
+    cell = (np.arange(p).repeat(len(perms)) * p + np.tile(of, p)) * (k + 1) + ncycles[of[rank]]
+    counts = np.bincount(cell, minlength=p * p * (k + 1)).reshape(p, p, k + 1)
+    return [tuple(rep) for rep in perms[first].tolist()], sizes, counts
+
+
 def sk_classes(k):
-    """(representatives, sizes) of the conjugacy classes of S_k, in label order."""
-    perms, _, _, label = sk_tables(k)
-    of = label[0].tolist()  # class of each permutation
-    sizes = np.bincount(label[0])
-    return [perms[of.index(a)] for a in range(len(sizes))], sizes
+    """(representatives, sizes) of the conjugacy classes of S_k, in label order.
+
+    Read from the class data, which never builds the `sk_tables` tables."""
+    reps, sizes, _ = _class_data(k)
+    return reps, sizes
 
 
 def _class_matrix(k, base):
-    """Exact class matrix of base^{c(sigma^-1 beta)}."""
-    _, index, ccount, label = sk_tables(k)
-    reps, _ = sk_classes(k)
-    out = np.zeros((len(reps), len(reps)), dtype=object)
-    for a, rep in enumerate(reps):
-        for b, c in zip(label[0].tolist(), ccount[index[rep]].tolist()):
-            out[a, b] += base**c
-    return out
+    """Exact integer class matrix of base^{c(sigma^-1 beta)}."""
+    counts = _class_data(k)[2].astype(object)
+    return counts @ np.array([base**c for c in range(k + 1)], dtype=object)
 
 
 def _solve(a, b):
-    """A solution x of the consistent system a x = b in exact arithmetic,
-    with every free variable set to 0."""
+    """A solution x of the consistent integer system a x = b, with every free
+    variable set to 0, as integer numerators over one denominator: (x, d).
+
+    Fraction-free Gauss-Jordan (Bareiss, Math. Comp. 22, 565 (1968)): each
+    row step cross-multiplies by the pivot and divides exactly by the
+    previous pivot, so every entry stays an integer minor of [a | b] and the
+    pivot rows end as d times the reduced row echelon form.
+    """
     n = len(a)
-    rows = [[Fraction(v) for v in row] for row in np.hstack([a, b])]
+    rows = np.hstack([a, b]).tolist()
     pivots = []
+    d = 1
     for c in range(n):
         r = len(pivots)
         p = next((i for i in range(r, n) if rows[i][c]), None)
         if p is None:
             continue
         rows[r], rows[p] = rows[p], rows[r]
-        rows[r] = [v / rows[r][c] for v in rows[r]]
+        top, prev, d = rows[r], d, rows[r][c]
         for i in range(n):
-            if i != r and rows[i][c]:
+            if i != r:
                 f = rows[i][c]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
+                rows[i] = [(d * v - f * w) // prev for v, w in zip(rows[i], top)]
         pivots.append(c)
     if any(any(row[n:]) for row in rows[len(pivots):]):
         raise ValueError("inconsistent linear system")
     x = np.zeros((n, b.shape[1]), dtype=object)
     for r, c in enumerate(pivots):
         x[c] = rows[r][n:]
-    return x
+    return _lowest(x, d)
+
+
+def _lowest(num, den):
+    """num / den over the least common denominator, which is positive."""
+    g = math.gcd(den, *num.flat) * (1 if den > 0 else -1)
+    return num // g, den // g
+
+
+def _fractions(num, den):
+    """Read-only object array of the Fractions num / den."""
+    out = np.array([Fraction(v, den) for v in num.flat], dtype=object).reshape(num.shape)
+    out.flags.writeable = False
+    return out
 
 
 # ------------------------------------------------------------- Weingarten
 
 @functools.cache
+def _weingarten_integer(k, q):
+    """(w, d): the Weingarten class matrix W = G (G^3)^- G is w / d."""
+    gram = _class_matrix(k, q)
+    x, d = _solve(gram @ gram @ gram, gram)
+    return _lowest(gram @ x, d)
+
+
+@functools.cache
 def weingarten_sector(k, q):
-    """Exact class matrix of the Weingarten operator W = G (G^3)^- G.
+    """Exact class matrix of the Weingarten operator W = G (G^3)^- G, as
+    read-only Fractions.
 
     Column 0 holds the Weingarten function itself, Wg(rho_A, q) per class A.
+    The solve and the product run on integers over one denominator.
     """
-    gram = _class_matrix(k, q)
-    w = gram @ _solve(gram @ gram @ gram, gram)
-    w.flags.writeable = False
-    return w
+    return _fractions(*_weingarten_integer(k, q))
 
 
 @functools.cache
@@ -176,17 +233,23 @@ def _weight_vector(k, n, weight):
     raise ValueError(f"unknown weight {weight!r}")
 
 
+def _transfer_integer(k, chi_in, chi_out, n, weight):
+    """(t, d): the site transfer class matrix diag(g) W(2 chi_out) M(chi_in) is t / d."""
+    w, d = _weingarten_integer(k, 2 * chi_out)
+    return _lowest(_weight_vector(k, n, weight)[:, None] * (w @ _class_matrix(k, chi_in)), d)
+
+
 @functools.cache
 def transfer_sector(k, chi_in, chi_out, n, weight="pauli"):
-    """Exact class matrix diag(g) W(2 chi_out) M(chi_in) of a site transfer matrix."""
-    t = _weight_vector(k, n, weight)[:, None] * (weingarten_sector(k, 2 * chi_out) @ _class_matrix(k, chi_in))
-    t.flags.writeable = False
-    return t
+    """Exact class matrix diag(g) W(2 chi_out) M(chi_in) of a site transfer
+    matrix, as read-only Fractions."""
+    return _fractions(*_transfer_integer(k, chi_in, chi_out, n, weight))
 
 
 @functools.cache
 def _sector_float(k, chi_in, chi_out, n, weight):
-    return transfer_sector(k, chi_in, chi_out, n, weight).astype(float)
+    t, d = _transfer_integer(k, chi_in, chi_out, n, weight)
+    return (t / d).astype(float)  # int / int rounds correctly, as float(Fraction) does
 
 
 @dataclass
@@ -240,13 +303,17 @@ def leading_eigenvalue(k, chi, n, precise=False):
     ~1e-12 (k=6 at chi >= 64). Newton's method on det(T - (1 + x) I), with
     the step 1 / tr((T - (1 + x) I)^-1) evaluated exactly, starts from the
     double-precision sector spectrum and stops once the step is within two
-    units in the last place of x. `precise` is accepted and ignored.
+    units in the last place of x. With T = t / d and x = num / den, the
+    step solves the integer system (den t - (den + num) d I) y = I and is
+    rounded to a double once. `precise` is accepted and ignored.
     """
-    t = transfer_sector(k, chi, chi, n)
+    t, d = _transfer_integer(k, chi, chi, n, "pauli")
     eye = np.eye(len(t), dtype=int).astype(object)
-    x = float(np.max(np.linalg.eigvals(t.astype(float)).real)) - 1.0
+    x = float(np.max(np.linalg.eigvals(_sector_float(k, chi, chi, n, "pauli")).real)) - 1.0
     for _ in range(50):
-        step = float(1 / np.trace(_solve(t - (1 + Fraction(x)) * eye, eye)))
+        num, den = x.as_integer_ratio()
+        inv, det = _solve(den * t - (den + num) * d * eye, eye)
+        step = det / (den * d * np.trace(inv))  # int / int rounds once
         x += step
         if abs(step) <= 2 * math.ulp(x):
             return 1 + Fraction(x)

@@ -1,8 +1,10 @@
+import hashlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from cmpslab import replica
 from cmpslab.ensembles import cmps_sampler, magic_deviation_mc, rmps_sampler
 from cmpslab.kernels import Rng
 from cmpslab.mps import bond_dims
@@ -16,11 +18,13 @@ from cmpslab.replica import (
     pauli_weight_g,
     pbc_delta,
     pbc_trace,
+    sk_classes,
     sk_tables,
     transfer_matrix_site,
     transfer_sector,
     transfer_spectrum,
     weingarten_matrix,
+    weingarten_sector,
 )
 
 
@@ -206,3 +210,105 @@ def test_k6_leading_eigenvalue_exact_bracket(chi):
     lo = char(1 + x * (1 - Fraction(1, 10**9)))
     hi = char(1 + x * (1 + Fraction(1, 10**9)))
     assert lo * hi < 0
+
+
+def reference_solve(a, b):
+    """A solution of the consistent system a x = b by Gauss-Jordan
+    elimination in Fractions, with every free variable set to 0."""
+    n = len(a)
+    rows = [[Fraction(v) for v in row] for row in np.hstack([a, b])]
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        p = next((i for i in range(r, n) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [v / rows[r][c] for v in rows[r]]
+        for i in range(n):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
+        pivots.append(c)
+    if any(any(row[n:]) for row in rows[len(pivots):]):
+        raise ValueError("inconsistent linear system")
+    x = np.zeros((n, b.shape[1]), dtype=object)
+    for r, c in enumerate(pivots):
+        x[c] = rows[r][n:]
+    return x
+
+
+def reference_class_matrix(k, base):
+    """Class matrix of base^{c(sigma^-1 beta)} summed over the full S_k tables."""
+    perms, index, ccount, label = sk_tables(k)
+    reps = [perms[label[0].tolist().index(a)] for a in range(int(label.max()) + 1)]
+    out = np.zeros((len(reps), len(reps)), dtype=object)
+    for a, rep in enumerate(reps):
+        for b, c in zip(label[0].tolist(), ccount[index[rep]].tolist()):
+            out[a, b] += base**c
+    return out
+
+
+@pytest.mark.parametrize("k", [2, 4, 6])
+def test_class_data_matches_the_full_tables(k):
+    perms, _, _, label = sk_tables(k)
+    reps, sizes = sk_classes(k)
+    assert reps == [perms[label[0].tolist().index(a)] for a in range(len(reps))]
+    assert sizes.tolist() == np.bincount(label[0]).tolist()
+    for q in (1, 2, 5, 16):
+        assert np.array_equal(replica._class_matrix(k, q), reference_class_matrix(k, q))
+
+
+@pytest.mark.parametrize("k", [2, 4, 6])
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 6, 7, 8, 16, 512])
+def test_weingarten_sector_matches_the_fraction_reference(k, q):
+    # q < k makes the Gram singular: the pseudo-inverse branch of the formula
+    gram = reference_class_matrix(k, q)
+    expected = gram @ reference_solve(gram @ gram @ gram, gram)
+    got = weingarten_sector(k, q)
+    assert all(isinstance(v, Fraction) for v in got.flat)
+    assert np.array_equal(got, expected)
+
+
+def _digest(values):
+    return hashlib.sha256(";".join(str(Fraction(v)) for v in values).encode()).hexdigest()
+
+
+# sha256 of the exact entries, recorded from the Fraction-arithmetic kernel
+PINNED_SECTORS = {
+    2: ("7852f25ac218c1a5e3f4aebdba0c7c7743b0a4a5387b8a7777c89fc65e104f9c",
+        "31f4ed8e15b38195bafcb7a29be23905b976091b9a5f36029efb8181db6be26b"),
+    8: ("5af475aa673755facd0db09f38551323687b40eb2297df33def283dc5166b077",
+        "636fb6f0a124b803a677924bd97b93ce6b9b05552735807aeffa9b565628b9fe"),
+    64: ("84744e401b2d719dd659fd1c7a7beb0fbbbfe83b4fc2c790a6961d99955b02e3",
+         "c2b4603e039a45ba3f41dd876f9625a88410b713d99e55e24d245e812cc9b383"),
+    256: ("c1b4d7ddbba0ab9949fbfeb27ccf96fd702ef893ff75f49fdf39921e643bef9b",
+          "eacb234e936532324eb2e5e85d446f59e6ed9eba5fd70b6ab60ca5b9767eb82d"),
+}
+
+
+@pytest.mark.parametrize("chi", sorted(PINNED_SECTORS))
+def test_k6_sectors_and_lambda1_are_pinned(chi):
+    sectors = [v for chi_in in (chi // 2, chi, 2 * chi) for v in transfer_sector(6, chi_in, chi, 3).flat]
+    assert (_digest(sectors), _digest([leading_eigenvalue(6, chi, 3)])) == PINNED_SECTORS[chi]
+
+
+def test_open_chain_never_builds_the_full_tables(monkeypatch):
+    def refuse(k):
+        raise AssertionError(f"sk_tables({k}) called")
+
+    monkeypatch.setattr(replica, "sk_tables", refuse)
+    for fn in vars(replica).values():
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+    # values of the Fraction-arithmetic kernel, which built the class data from sk_tables
+    assert delta_chi(64, 8, 3).delta == 0.021804332160178852
+    assert obc_chain_value(4, 4, 16, 2) == 12.813811396280816
+
+
+def test_solve_rejects_an_inconsistent_system():
+    a = np.array([[1, 1], [2, 2]], dtype=object)
+    with pytest.raises(ValueError, match="inconsistent"):
+        replica._solve(a, np.array([[1], [3]], dtype=object))
+    x, d = replica._solve(a, np.array([[1], [2]], dtype=object))
+    assert (x.tolist(), d) == ([[1], [0]], 1)
