@@ -269,9 +269,9 @@ def design_audit(config_path, out, seed, n_qubits, chi_list, pairs):
         est = frame_potential_mc(haar_sampler(n_qubits), k, pairs, rng.child(k))
         rows.append({"ensemble": "haar_mc", "k": k, "estimate": est.mean, "se": est.std_error})
     for k in range(1, 5):
-        if n_qubits <= 2:
-            rows.append({"ensemble": "stab_exact", "k": k, "estimate": frame_potential_exact_stab(n_qubits, k), "se": 0.0})
-        else:
+        rows.append({"ensemble": "stab_exact", "k": k, "estimate": frame_potential_exact_stab(n_qubits, k), "se": 0.0})
+    if n_qubits > 2:
+        for k in range(1, 5):
             est = frame_potential_mc(stab_sampler(n_qubits), k, pairs, rng.child(10 + k))
             rows.append({"ensemble": "stab_mc", "k": k, "estimate": est.mean, "se": est.std_error})
     comments = []
@@ -379,6 +379,19 @@ def oracle_suite(seed):
         pred = alpha * (q @ psym) + beta * psym
         assert np.max(np.abs(avg - pred)) < 1e-10
 
+    def stab_closed_form():
+        from fractions import Fraction
+        from .dense import clifford_4fold_coefficients
+        from .ensembles import frame_potential_exact_stab
+        # every stabilizer state has m_2 = 1/d, so its Clifford twirl is the
+        # whole 4th moment of the stabilizer ensemble
+        for n in range(1, 6):
+            d = 1 << n
+            alpha, beta = clifford_4fold_coefficients(d, Fraction(1, d))
+            tr_qp, tr_p = Fraction((d + 1) * (d + 2), 6), math.comb(d + 3, 4)
+            f4 = (alpha + beta) ** 2 * tr_qp + beta**2 * (tr_p - tr_qp)
+            assert float(f4) == frame_potential_exact_stab(n, 4), (n, f4)
+
     def mps_vs_dense():
         from .dense import pauli_expectation_dense
         from .mps import mps_from_statevector, pauli_expectation
@@ -406,6 +419,7 @@ def oracle_suite(seed):
     check("obc_identity_chain_norm", chain_norm)
     check("replica_class_sector_vs_full", class_sector_vs_full)
     check("clifford_4fold_channel_n1", fourfold_channel)
+    check("stab_frame_potential_closed_form", stab_closed_form)
     check("mps_vs_dense_pauli", mps_vs_dense)
     check("sre_clifford_invariance", sre_clifford_invariance)
 

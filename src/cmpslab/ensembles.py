@@ -2,7 +2,9 @@
 potentials, design distance, Monte Carlo magic, and purity fluctuations for
 stabilizer, Haar and Clifford-enhanced ensembles.
 
-Dense statevectors (N <= 10) carry all Monte Carlo estimates. A sampler
+Dense statevectors (N <= 10) carry all Monte Carlo estimates. The exact
+stabilizer frame potentials are a closed form at every N; only the N <= 2
+stabilizer states and their purity moments are enumerated. A sampler
 maps an iterable of random streams to an iterator of states, one per stream,
 so that the CMPS sampler can build the MPS of a chunk of streams together.
 """
@@ -128,10 +130,29 @@ def frame_potential_mc(sampler, k, pairs, rng):
 
 
 def frame_potential_exact_stab(n, k):
-    """Exact stabilizer frame potential at N <= 2 over all ordered state pairs."""
-    states = stab_states_exhaustive(n)
-    ov = np.abs(states @ states.conj().T) ** (2 * k)
-    return float(np.mean(ov))
+    """Exact stabilizer frame potential F^(k)_STAB for any N >= 1, k >= 1.
+
+    By Clifford invariance F^(k) = E_phi |<0|phi>|^{2k} over the stabilizer
+    states phi. Those with <0|phi> != 0 are supported on a linear subspace of
+    GF(2)^N of some dimension j, with 2^{j(j+3)/2} states per subspace and
+    |<0|phi>|^2 = 2^-j each (Dehaene & De Moor, PRA 68, 042318 (2003),
+    quant-ph/0304125). Dividing by the 2^N prod_{i=1}^N (2^i + 1) states:
+
+        F^(k) = sum_{j=0}^N [N choose j]_2 2^{j(j+3)/2 - jk} / (2^N prod_{i=1}^N (2^i + 1)),
+
+    with [N choose j]_2 the Gaussian binomial. The sum is formed as one
+    integer fraction, so the returned float is the exact value correctly
+    rounded.
+    """
+    if n < 1 or k < 1:
+        raise ValueError("need n >= 1 and k >= 1")
+    # scaled by 2^{Nk}, every term is an integer
+    num, gauss = 0, 1
+    for j in range(n + 1):
+        num += gauss << (j * (j + 3) // 2 + (n - j) * k)
+        gauss = gauss * ((1 << (n - j)) - 1) // ((1 << (j + 1)) - 1)
+    den = math.prod((1 << i) + 1 for i in range(1, n + 1)) << (n * (k + 1))
+    return num / den
 
 
 def design_distance_delta4(delta2_chi, d):

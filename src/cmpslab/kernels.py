@@ -7,8 +7,6 @@ split into independent child streams.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 
@@ -82,6 +80,8 @@ def indexed_map(fn, count, workers=1):
     (``rng.child(i)``) they do not depend on the thread count.
     """
     if workers > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, range(count)))
     return [fn(i) for i in range(count)]

@@ -1,11 +1,15 @@
+import functools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
-from cmpslab import ensembles, mps
-from cmpslab.dense import haar_state, purity
+from cmpslab import dense, ensembles, mps, tableau
+from cmpslab.cli import main
+from cmpslab.dense import clifford_4fold_coefficients, haar_state, purity
 from cmpslab.ensembles import (
     cmps_sampler,
     cmps_statevector,
@@ -47,11 +51,120 @@ def test_stab_frame_potentials_exact():
 
 
 def test_stab_frame_potentials_match_haar_to_rounding():
-    # the states are built once and kept unrounded, so the 3-design identity
-    # holds to double precision
+    # the states are built once; the frame potential is a closed form, so
+    # the 3-design identity holds to double precision
     assert stab_states_exhaustive(2) is stab_states_exhaustive(2)
     for k in (1, 2, 3):
         assert abs(frame_potential_exact_stab(2, k) - haar_frame_potential(4, k)) < 1e-14
+
+
+def _stab_fp_reference(n, k):
+    """F^(k)_STAB(N) = sum_j [N choose j]_2 2^{j(j+3)/2 - jk} / (2^N prod_i (2^i + 1)), in fractions."""
+    total = Fraction(0)
+    for j in range(n + 1):
+        gauss = Fraction(1)
+        for i in range(j):
+            gauss *= Fraction(2 ** (n - i) - 1, 2 ** (i + 1) - 1)
+        total += gauss * Fraction(2) ** (j * (j + 3) // 2 - j * k)
+    return total / (2**n * math.prod(2**i + 1 for i in range(1, n + 1)))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_stab_frame_potential_is_the_rounded_closed_form(n):
+    for k in range(1, 5):
+        assert frame_potential_exact_stab(n, k) == float(_stab_fp_reference(n, k))
+
+
+def test_stab_closed_form_is_a_3_design_and_known_f4():
+    for n in range(1, 9):
+        d = 2**n
+        for k in (1, 2, 3):
+            assert _stab_fp_reference(n, k) == Fraction(1, math.comb(d + k - 1, k))
+    f4 = [Fraction(5, 24), Fraction(1, 32), Fraction(1, 288), Fraction(1, 3264), Fraction(5, 215424)]
+    assert [_stab_fp_reference(n, 4) for n in range(1, 6)] == f4
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_stab_closed_form_matches_the_enumerated_states(n):
+    states = stab_states_exhaustive(n)
+    for k in range(1, 5):
+        mean = float(np.mean(np.abs(states @ states.conj().T) ** (2 * k)))
+        assert abs(frame_potential_exact_stab(n, k) - mean) < 1e-15
+
+
+@pytest.mark.parametrize("n,k", [(0, 1), (-1, 2), (2, 0), (3, -1)])
+def test_stab_frame_potential_rejects_bad_arguments(n, k):
+    with pytest.raises(ValueError):
+        frame_potential_exact_stab(n, k)
+
+
+def test_stab_frame_potential_and_design_audit_skip_the_clifford_group(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("enumerated the Clifford group")
+
+    monkeypatch.setattr(ensembles, "stab_states_exhaustive", boom)
+    monkeypatch.setattr(dense, "dense_clifford_group", boom)
+    monkeypatch.setattr(tableau, "enumerate_clifford_group", boom)
+    for k in range(1, 5):
+        assert frame_potential_exact_stab(2, k) == float(_stab_fp_reference(2, k))
+    result = CliRunner().invoke(main, ["design-audit", "--n", "2", "--pairs", "2", "--out", "-"])
+    assert result.exit_code == 0, result.output
+    assert "stab_exact,4,0.03125," in result.output
+
+
+def _stab_states_by_closure(n):
+    """All N-qubit stabilizer states, |0...0> closed under H, S and CNOT on
+    statevectors and deduplicated up to global phase."""
+    h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    s = np.diag([1, 1j])
+
+    def on(q, g):
+        return functools.reduce(np.kron, [g if i == q else np.eye(2) for i in range(n)])
+
+    gates = [on(q, g) for q in range(n) for g in (h, s)]
+    for c in range(n):
+        for t in range(n):
+            if c != t:
+                gates.append(on(c, np.diag([0, 1])) @ on(t, np.array([[0, 1], [1, 0]])) + on(c, np.diag([1, 0])))
+
+    def key(v):
+        # -0.0 and +0.0 must give the same bytes, or the closure never closes
+        return (np.round(v, 9) + 0.0).tobytes()
+
+    start = np.zeros(2**n, dtype=complex)
+    start[0] = 1
+    seen = {key(start): start}
+    frontier = [start]
+    while frontier:
+        new = []
+        for v in frontier:
+            for g in gates:
+                w = g @ v
+                first = w[np.argmax(np.abs(w) > 1e-9)]
+                w = w * (abs(first) / first)
+                if key(w) not in seen:
+                    seen[key(w)] = w
+                    new.append(w)
+        frontier = new
+    return np.array(list(seen.values()))
+
+
+def test_stab_closed_form_matches_an_independent_n3_closure():
+    states = _stab_states_by_closure(3)
+    assert len(states) == 1080
+    overlaps = np.abs(states @ states.conj().T) ** 2
+    for k in range(1, 5):
+        assert abs(float(np.mean(overlaps**k)) - frame_potential_exact_stab(3, k)) < 1e-12
+
+
+def test_clifford_twirl_at_stabilizer_m2_gives_the_closed_form():
+    # every stabilizer state has m_2 = 1/d, so its 4-fold Clifford twirl is
+    # the whole 4th moment of the stabilizer ensemble
+    for n in range(1, 6):
+        d = 2**n
+        alpha, beta = clifford_4fold_coefficients(d, Fraction(1, d))
+        tr_qp, tr_p = Fraction((d + 1) * (d + 2), 6), math.comb(d + 3, 4)
+        assert (alpha + beta) ** 2 * tr_qp + beta**2 * (tr_p - tr_qp) == _stab_fp_reference(n, 4)
 
 
 def test_haar_frame_potential_mc():
