@@ -36,27 +36,30 @@ class TrajectoryRecord:
     m2: list  # exact m_n per time step, [0] = initial product state
     m3: list
     max_entropy: list  # max bond entropy per step (nats)
+    discarded: list  # truncated weight summed over each step's gates, [0] = 0.0
 
 
 def brickwork_trajectory(n, chi_max, steps, rng):
     """Evolve |0...0> for `steps` alternating layers, recording exact SRE
-    (dense contraction, so N <= 10) and the max bond entropy after each.
-    One Pauli spectrum per step serves both m_2 and m_3."""
+    (dense contraction, so N <= 10), the max bond entropy and the weight the
+    bond cap truncated after each. One Pauli spectrum per step serves both
+    m_2 and m_3."""
     if n > MAX_SRE_QUBITS:
         raise ValueError(f"exact SRE tracking limited to N <= {MAX_SRE_QUBITS}")
     state = MpsState.product_state([(1.0, 0.0)] * n)
-    rec = TrajectoryRecord(n, chi_max, [], [], [])
+    rec = TrajectoryRecord(n, chi_max, [], [], [], [])
 
-    def record(state, max_entropy):
+    def record(state, max_entropy, discarded):
         spec = pauli_spectrum(state.to_statevector())
         rec.m2.append(sre_from_spectrum(spec, 2)[0])
         rec.m3.append(sre_from_spectrum(spec, 3)[0])
         rec.max_entropy.append(max_entropy)
+        rec.discarded.append(discarded)
 
-    record(state, 0.0)
+    record(state, 0.0, 0.0)
     for t in range(steps):
-        state, _ = brickwork_layer(state, chi_max, t % 2, rng)
-        record(state, entanglement_profile(state).max_entropy)
+        state, discarded = brickwork_layer(state, chi_max, t % 2, rng)
+        record(state, entanglement_profile(state).max_entropy, discarded)
     return rec
 
 
@@ -67,8 +70,11 @@ def brickwork_scan(n, chi_list, steps, trajectories, rng, workers=1):
     plateau summary per chi: delta averaged over the last quarter of the
     evolution (at least one step). Trajectories run on `workers` threads
     with per-trajectory child rngs, collected in index order, so results are
-    independent of the thread count.
+    independent of the thread count. The standard errors need at least two
+    trajectories, so fewer raise ValueError.
     """
+    if trajectories < 2:
+        raise ValueError(f"need at least 2 trajectories for a standard error, got {trajectories}")
     window = max(1, steps // 4)
     d = 1 << n
     haar2 = haar_magic_scaled(d, 2)

@@ -404,6 +404,25 @@ def oracle_suite(seed):
             p = hermitian_pauli_from_index(5, xb, zb)
             assert abs(pauli_expectation(state, p) - pauli_expectation_dense(psi, p)) < 1e-10
 
+    def mps_brickwork_vs_dense():
+        from .brickwork import brickwork_layer
+        from .dense import apply_gate, haar_state
+        from .kernels import haar_unitary
+        from .mps import mps_from_statevector
+        # chi = 2^(N/2) truncates nothing; no read between the layers, so the
+        # gates run on the mixed-canonical form the previous gate left
+        psi = haar_state(6, rng.child(5))
+        state = mps_from_statevector(psi)
+        for t in range(6):
+            state, _ = brickwork_layer(state, 8, t % 2, rng.child(10 + t))
+            gates = rng.child(10 + t)
+            for a in range(t % 2, 5, 2):
+                psi = apply_gate(psi, haar_unitary(4, gates), [a, a + 1])
+        assert np.max(np.abs(state.to_statevector() - psi)) < 1e-12
+        for t in state.tensors:
+            m = t.reshape(t.shape[0], -1)
+            assert np.max(np.abs(m @ m.conj().T - np.eye(len(m)))) < 1e-12
+
     def sre_clifford_invariance():
         from .dense import exact_sre
         from .tableau import random_clifford, tableau_to_dense
@@ -421,6 +440,7 @@ def oracle_suite(seed):
     check("clifford_4fold_channel_n1", fourfold_channel)
     check("stab_frame_potential_closed_form", stab_closed_form)
     check("mps_vs_dense_pauli", mps_vs_dense)
+    check("mps_brickwork_layers_vs_dense", mps_brickwork_vs_dense)
     check("sre_clifford_invariance", sre_clifford_invariance)
 
     failed = 0

@@ -1,7 +1,11 @@
-"""Right-canonical MPS engine: staircase random-MPS sampling with open
-boundaries, two-qubit gate application with hard-cap truncation, the
-O(N chi^3) Pauli-expectation contraction, and Schmidt-spectrum entanglement
-diagnostics.
+"""MPS engine: staircase random-MPS sampling with open boundaries, two-qubit
+gate application with hard-cap truncation, the O(N chi^3) Pauli-expectation
+contraction, and Schmidt-spectrum entanglement diagnostics.
+
+An ``MpsState`` is held in mixed-canonical form about an orthogonality
+centre, which each gate moves onto itself; every other reader sees the
+right-normal ``tensors``, built lazily. Site tensors are never mutated in
+place.
 
 Serialization format (``save_mps`` / ``load_mps``), version ``mps-v1``:
 
@@ -44,20 +48,54 @@ def bond_dims(n, chi_max):
 
 
 class MpsState:
-    """Right-normalized MPS: tensors[i] has shape (chi_{i-1}, 2, chi_i).
+    """Pure state of N qubits as an MPS in mixed-canonical form: sites left
+    of the orthogonality centre are left-normal, sites right of it are
+    right-normal, and the centre site carries the norm.
 
-    Operations return new states; tensors are never mutated in place.
+    ``MpsState(tensors)`` takes right-normal site tensors, tensors[i] of
+    shape (chi_{i-1}, 2, chi_i), as centre 0. ``tensors`` is that
+    right-normal view: for a state centred elsewhere (the result of a gate)
+    it is computed on first read by an LQ sweep from the centre to site 0,
+    and stored back as centre 0. The sites and the centre are one attribute,
+    so a kept state holds one copy and a reader on another thread never sees
+    half an update. Operations return new states; site tensors are never
+    mutated in place.
     """
 
     def __init__(self, tensors):
-        self.tensors = list(tensors)
-        self.n = len(self.tensors)
-        self.bond_dims = [t.shape[0] for t in self.tensors] + [self.tensors[-1].shape[2]]
-        if self.bond_dims[0] != 1 or self.bond_dims[-1] != 1:
+        sites = tuple(tensors)
+        self.n = len(sites)
+        dims = [t.shape[0] for t in sites] + [sites[-1].shape[2]]
+        if dims[0] != 1 or dims[-1] != 1:
             raise ValueError("edge bonds must have dimension 1")
-        for i, t in enumerate(self.tensors):
-            if t.ndim != 3 or t.shape[1] != 2 or t.shape[2] != self.bond_dims[i + 1]:
+        for i, t in enumerate(sites):
+            if t.ndim != 3 or t.shape[1] != 2 or t.shape[2] != dims[i + 1]:
                 raise ValueError(f"bad tensor shape {t.shape} at site {i}")
+        self._form = (sites, 0)
+
+    @classmethod
+    def _centred(cls, sites, centre):
+        """State from mixed-canonical sites about `centre`, unchecked."""
+        state = cls.__new__(cls)
+        state.n = len(sites)
+        state._form = (tuple(sites), centre)
+        return state
+
+    @property
+    def tensors(self):
+        """The right-normal site tensors, as a new list."""
+        sites, centre = self._form
+        if centre:
+            ts = list(sites)
+            _move_centre(ts, centre, 0)
+            sites = tuple(ts)
+            self._form = (sites, 0)
+        return list(sites)
+
+    @property
+    def bond_dims(self):
+        ts = self.tensors
+        return [t.shape[0] for t in ts] + [ts[-1].shape[2]]
 
     @classmethod
     def product_state(cls, amplitudes):
@@ -123,28 +161,44 @@ def rmps_chunks(n, chi_max, rngs):
         yield chunk
 
 
+def _move_centre(ts, frm, to):
+    """Move the orthogonality centre of the site list `ts` from site `frm`
+    to site `to`, replacing list entries: QRs to the right, each R moved into
+    the right neighbour; LQs to the left, each L moved into the left
+    neighbour. One factorization per site passed."""
+    for i in range(frm, to):
+        chi_r = ts[i].shape[2]
+        q, r = np.linalg.qr(ts[i].reshape(-1, chi_r))
+        ts[i] = q.reshape(ts[i].shape[0], 2, q.shape[1])
+        ts[i + 1] = np.einsum("ab,bsc->asc", r, ts[i + 1])
+    for i in range(frm, to, -1):
+        # LQ via QR of the conjugate transpose: ts[i] = L q, q right-normal
+        chi_r = ts[i].shape[2]
+        qh, rh = np.linalg.qr(ts[i].reshape(ts[i].shape[0], -1).conj().T)
+        ts[i] = qh.conj().T.reshape(-1, 2, chi_r)
+        ts[i - 1] = np.einsum("asb,cb->asc", ts[i - 1], rh.conj())
+
+
 def apply_two_qubit_gate(state, gate, site, chi_max):
     """Apply a 4x4 gate on (site, site+1), truncating the middle bond.
 
-    Returns (new_state, discarded_weight). Sites 0..site-1 are QR'd left to
-    move the orthogonality centre onto the gate, so the two-site SVD sees
-    true Schmidt values, which are renormalized after truncation. The right
-    factor of the SVD is right-normal and the sites past site+1 are not
-    touched, so only sites site..1 are right-normalized again, each by an
-    LQ whose L moves into its left neighbour; site 0 then carries the unit
-    norm. A gate at `site` costs 2*site factorizations besides its SVD.
+    Returns (new_state, discarded_weight). The orthogonality centre moves
+    from where it is onto the gate (QRs to the right, LQs to the left), so
+    the two-site SVD sees true Schmidt values, which are renormalized after
+    truncation. The result is centred on `site`, which carries the singular
+    values, with no sweep back. A gate costs |centre - site| factorizations
+    besides its SVD (one fewer from the right), so a brickwork layer costs
+    O(N) of them, not O(N^2). From centre 0 the result's `tensors` are
+    byte-identical to a full re-normalization after the gate.
     """
     if site < 0 or site + 1 >= state.n:
         raise ValueError(f"bad site {site} for N={state.n}")
     gate = np.asarray(gate, dtype=complex)
     if gate.shape != (4, 4):
         raise ValueError("expected a 4x4 gate")
-    ts = list(state.tensors)
-    for i in range(site):
-        chi_r = ts[i].shape[2]
-        q, r = np.linalg.qr(ts[i].reshape(-1, chi_r))
-        ts[i] = q.reshape(ts[i].shape[0], 2, q.shape[1])
-        ts[i + 1] = np.einsum("ab,bsc->asc", r, ts[i + 1])
+    sites, centre = state._form
+    ts = list(sites)
+    _move_centre(ts, centre, min(max(centre, site), site + 1))
     a, b = ts[site], ts[site + 1]
     chi_l, chi_r = a.shape[0], b.shape[2]
     theta = np.einsum("asb,btc->astc", a, b).reshape(chi_l, 4, chi_r)
@@ -153,13 +207,7 @@ def apply_two_qubit_gate(state, gate, site, chi_max):
     s = s / np.linalg.norm(s)
     ts[site] = (u * s).reshape(chi_l, 2, len(s))
     ts[site + 1] = vh.reshape(len(s), 2, chi_r)
-    for i in range(site, 0, -1):
-        # LQ via QR of the conjugate transpose: ts[i] = L q, q right-normal
-        chi_r = ts[i].shape[2]
-        qh, rh = np.linalg.qr(ts[i].reshape(ts[i].shape[0], -1).conj().T)
-        ts[i] = qh.conj().T.reshape(-1, 2, chi_r)
-        ts[i - 1] = np.einsum("asb,cb->asc", ts[i - 1], rh.conj())
-    return MpsState(ts), float(discarded)
+    return MpsState._centred(ts, site), float(discarded)
 
 
 def pauli_expectation(state, p):
@@ -186,8 +234,7 @@ def _left_environment_spectra(state):
     every internal bond, using right-normalization of the tail."""
     spectra = []
     env = np.ones((1, 1), dtype=complex)
-    for i in range(state.n - 1):
-        t = state.tensors[i]
+    for t in state.tensors[:-1]:
         env = np.einsum("ab,asc,bsd->cd", env, t, t.conj())
         lam = np.linalg.eigvalsh(env)
         lam = np.clip(lam.real, 0.0, None)

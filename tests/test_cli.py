@@ -15,7 +15,7 @@ def runner():
 def test_oracle_suite_passes(runner):
     result = runner.invoke(main, ["oracle-suite"])
     assert result.exit_code == 0, result.output
-    assert "all 10 oracle checks passed" in result.output
+    assert "all 11 oracle checks passed" in result.output
 
 
 def test_magic_scan_csv(runner, tmp_path):

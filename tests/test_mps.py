@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cmpslab.dense import apply_gate, entanglement_entropy, haar_state, pauli_expectation_dense, purity
-from cmpslab.kernels import Rng, haar_unitary
+from cmpslab.kernels import Rng, haar_unitary, svd_truncate
 from cmpslab import mps
 from cmpslab.mps import (
     MpsState,
@@ -138,6 +138,97 @@ def test_gate_application_matches_dense():
         _assert_right_normal(st2)
         want = apply_gate(psi, g, [site, site + 1])
         assert np.max(np.abs(st2.to_statevector() - want)) < 1e-12
+
+
+def _apply_two_qubit_gate_ref(tensors, gate, site, chi_max):
+    """Reference copy of the gate with full re-normalization: sites
+    0..site-1 QR'd left, the two-site SVD, sites site..1 LQ'd right. Takes
+    and returns right-normal tensors, with the discarded weight."""
+    ts = list(tensors)
+    for i in range(site):
+        chi_r = ts[i].shape[2]
+        q, r = np.linalg.qr(ts[i].reshape(-1, chi_r))
+        ts[i] = q.reshape(ts[i].shape[0], 2, q.shape[1])
+        ts[i + 1] = np.einsum("ab,bsc->asc", r, ts[i + 1])
+    a, b = ts[site], ts[site + 1]
+    chi_l, chi_r = a.shape[0], b.shape[2]
+    theta = np.einsum("asb,btc->astc", a, b).reshape(chi_l, 4, chi_r)
+    theta = np.einsum("uv,avb->aub", np.asarray(gate, dtype=complex), theta)
+    u, s, vh, discarded = svd_truncate(theta.reshape(chi_l * 2, 2 * chi_r), chi_max)
+    s = s / np.linalg.norm(s)
+    ts[site] = (u * s).reshape(chi_l, 2, len(s))
+    ts[site + 1] = vh.reshape(len(s), 2, chi_r)
+    for i in range(site, 0, -1):
+        chi_r = ts[i].shape[2]
+        qh, rh = np.linalg.qr(ts[i].reshape(ts[i].shape[0], -1).conj().T)
+        ts[i] = qh.conj().T.reshape(-1, 2, chi_r)
+        ts[i - 1] = np.einsum("asb,cb->asc", ts[i - 1], rh.conj())
+    return ts, float(discarded)
+
+
+@pytest.mark.parametrize("chi_max", [1, 2, 8])
+def test_single_gate_matches_full_renormalization_bytes(chi_max):
+    # on a fresh (centre 0) state the centre route does the reference's
+    # factorizations in the reference's order
+    rng = Rng(9)
+    st = sample_rmps_obc(7, 8, rng)
+    for site in range(6):
+        g = haar_unitary(4, rng)
+        st2, disc = apply_two_qubit_gate(st, g, site, chi_max)
+        want, want_disc = _apply_two_qubit_gate_ref(st.tensors, g, site, chi_max)
+        assert disc == want_disc
+        assert [t.tobytes() for t in st2.tensors] == [t.tobytes() for t in want]
+        assert st2.bond_dims == [t.shape[0] for t in want] + [1]
+
+
+def test_tensors_right_normal_after_any_gate_sequence():
+    # keep every intermediate state unread, so each gate starts from the
+    # centre the previous one left, then read them all
+    rng = Rng(10)
+    st = sample_rmps_obc(8, 8, rng)
+    states = []
+    for _ in range(40):
+        site = int(rng.gen.integers(7))
+        chi_max = int(rng.gen.choice([1, 2, 4, 16]))
+        st, disc = apply_two_qubit_gate(st, haar_unitary(4, rng), site, chi_max)
+        states.append(st)
+    for st in states:
+        _assert_right_normal(st)
+        assert st.norm() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_concurrent_first_reads_of_tensors_agree():
+    # several threads race to build and store the right-normal view of the
+    # same centred states; each must see one whole view, the same bytes
+    import sys
+    import threading
+
+    rng = Rng(12)
+    st = sample_rmps_obc(10, 8, rng)
+    states = []
+    for site in (8, 3, 6, 2, 7):
+        st, _ = apply_two_qubit_gate(st, haar_unitary(4, rng), site, 4)
+        states.append(st)
+    want = [[t.tobytes() for t in mps.MpsState._centred(*s._form).tensors] for s in states]
+    seen = [[] for _ in states]
+
+    def read():
+        for i, s in enumerate(states):
+            seen[i].append([t.tobytes() for t in s.tensors])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for views, w in zip(seen, want):
+        assert len(views) == 6 and all(v == w for v in views)
 
 
 def test_gate_truncation_renormalizes():
