@@ -96,6 +96,21 @@ def _check_chis(chis):
             )
 
 
+def _output_error(path, message):
+    return click.ClickException(json.dumps({"error": "output", "path": path, "message": message}))
+
+
+def _check_out(path):
+    """Fail before any work unless --out is stdout or a file path whose
+    directory exists."""
+    if path == "-":
+        return
+    if os.path.isdir(path):
+        raise _output_error(path, "is a directory")
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise _output_error(path, "parent directory does not exist")
+
+
 def _write_csv(out_path, fieldnames, rows, resolved, seed, extra_comments=()):
     digest = hashlib.sha256(json.dumps(resolved, sort_keys=True).encode()).hexdigest()
     buf = io.StringIO()
@@ -112,8 +127,11 @@ def _write_csv(out_path, fieldnames, rows, resolved, seed, extra_comments=()):
     if out_path == "-":
         sys.stdout.write(data)
     else:
-        with open(out_path, "w") as fh:
-            fh.write(data)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(data)
+        except OSError as exc:
+            raise _output_error(out_path, exc.strerror or str(exc))
 
 
 def _workers(flag):
@@ -169,6 +187,7 @@ def magic_scan(config_path, out, seed, n_list, chi_list, sre_list, boundary, met
         # mc's standard error needs two samples; analytic and pbc read none
         resolved["samples"] = samples = _resolve(cfg, "samples", samples, 2000, "int", (2, math.inf))
     _reject_unread(cfg, resolved, ["samples"] if samples is not None else [])
+    _check_out(out)
     _check_chis(chis)
     if boundary == "pbc" and method == "mc":
         raise click.ClickException(json.dumps({"error": "config_field", "field": "method", "message": "mc supports obc only"}))
@@ -223,6 +242,7 @@ def brickwork_cmd(config_path, out, seed, workers, n_qubits, chi_list, steps, tr
     resolved = {"experiment": "brickwork", "n": n_qubits, "chi_list": chis, "steps": steps,
                 "trajectories": trajectories, "seed": seed}
     _reject_unread(cfg, resolved)
+    _check_out(out)
     _check_chis(chis)
     rows, plateaus = brickwork_scan(n_qubits, chis, steps, trajectories, Rng(seed), workers=workers)
     comments = [
@@ -259,6 +279,7 @@ def design_audit(config_path, out, seed, n_qubits, chi_list, pairs):
     seed = _resolve(cfg, "seed", seed, 0, "int", (0, math.inf))
     resolved = {"experiment": "design-audit", "n": n_qubits, "chi_list": chis, "pairs": pairs, "seed": seed}
     _reject_unread(cfg, resolved)
+    _check_out(out)
     _check_chis(chis)
     rng = Rng(seed)
     d = 1 << n_qubits
@@ -306,6 +327,7 @@ def cooling_cmd(config_path, out, seed, workers, n_list, vt_grid, trajectories, 
     resolved = {"experiment": "cooling", "n_list": ns, "vt_grid": grid,
                 "trajectories": trajectories, "v": velocity, "seed": seed}
     _reject_unread(cfg, resolved)
+    _check_out(out)
     rows = cooling_scan(ns, grid, trajectories, Rng(seed), v=velocity, workers=workers)
     _write_csv(out, ["n", "v", "t_count", "vt_over_n", "input_sn", "input_sn_se",
                      "cooled_sn", "cooled_sn_se", "trajectories"], rows, resolved, seed)
@@ -431,6 +453,18 @@ def oracle_suite(seed):
         u = tableau_to_dense(random_clifford(4, rng.child(4)))
         assert abs(exact_sre(u @ psi, 2)[1] - exact_sre(psi, 2)[1]) < 1e-9
 
+    def tableau_dense_conjugates():
+        from .tableau import CliffordTableau, random_clifford, tableau_to_dense
+        # U X_i U^dag and U Z_i U^dag, with the Paulis built by Kronecker
+        # products, are the tableau's rows: its images of X_i and Z_i
+        for n in (3, 6):
+            t = random_clifford(n, rng.child(20 + n))
+            u, ident = tableau_to_dense(t), CliffordTableau.identity(n)
+            for r in range(2 * n):
+                gen = ident.row_pauli(r).to_dense()
+                err = np.max(np.abs(u @ gen @ u.conj().T - t.row_pauli(r).to_dense()))
+                assert err < 1e-10, (n, r, err)
+
     check("weingarten_k2_closed_form", weingarten_k2)
     check("gram_times_weingarten_identity", gram_times_wg)
     check("weingarten_sector_exact_pseudo_inverse", exact_pseudo_inverse)
@@ -442,6 +476,7 @@ def oracle_suite(seed):
     check("mps_vs_dense_pauli", mps_vs_dense)
     check("mps_brickwork_layers_vs_dense", mps_brickwork_vs_dense)
     check("sre_clifford_invariance", sre_clifford_invariance)
+    check("tableau_dense_conjugates_generators", tableau_dense_conjugates)
 
     failed = 0
     for name, fn in checks:

@@ -64,6 +64,8 @@ class MpsState:
 
     def __init__(self, tensors):
         sites = tuple(tensors)
+        if not sites:
+            raise ValueError("an MPS needs at least one site")
         self.n = len(sites)
         dims = [t.shape[0] for t in sites] + [sites[-1].shape[2]]
         if dims[0] != 1 or dims[-1] != 1:
@@ -301,18 +303,36 @@ def save_mps(state, path, seed=None):
 
 
 def load_mps(path):
-    """Read an ``mps-v1`` file; raises ValueError on an unknown format or a
-    body whose byte count does not match the header's bond dimensions."""
+    """Read an ``mps-v1`` file. Raises ValueError naming the file when the
+    length prefix is cut short, the header is not a JSON object of format
+    ``mps-v1`` with an integer n >= 1 and n + 1 positive integer bond_dims,
+    or the body's byte count does not match those bond dimensions."""
+
+    def bad(message):
+        return ValueError(f"{path}: {message}")
+
     with open(path, "rb") as fh:
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
+        prefix = fh.read(8)
+        if len(prefix) != 8:
+            raise bad(f"expected an 8-byte header length, found {len(prefix)} bytes")
+        (hlen,) = struct.unpack("<Q", prefix)
+        try:
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+        except ValueError as exc:  # bad UTF-8 or bad JSON
+            raise bad(f"header is not UTF-8 JSON ({exc})") from None
+        if not isinstance(header, dict):
+            raise bad("header is not a JSON object")
         if header.get("format") != "mps-v1":
-            raise ValueError(f"unknown format {header.get('format')!r}")
+            raise bad(f"unknown format {header.get('format')!r}")
         body = fh.read()
-    dims = header["bond_dims"]
-    sizes = [dims[i] * 2 * dims[i + 1] for i in range(header["n"])]
+    n, dims = header.get("n"), header.get("bond_dims")
+    if type(n) is not int or n < 1:
+        raise bad(f"n must be an integer >= 1, found {n!r}")
+    if not isinstance(dims, list) or len(dims) != n + 1 or any(type(c) is not int or c < 1 for c in dims):
+        raise bad(f"bond_dims must be {n + 1} positive integers, found {dims!r}")
+    sizes = [dims[i] * 2 * dims[i + 1] for i in range(n)]
     if len(body) != 16 * sum(sizes):
-        raise ValueError(f"{path}: expected {16 * sum(sizes)} bytes of site tensors, found {len(body)}")
+        raise bad(f"expected {16 * sum(sizes)} bytes of site tensors, found {len(body)}")
     flat = np.frombuffer(body, dtype="<c16").astype(complex)
     parts = np.split(flat, np.cumsum(sizes)[:-1])
     return MpsState([t.reshape(dims[i], 2, dims[i + 1]) for i, t in enumerate(parts)])

@@ -30,6 +30,13 @@ class CliffordTableau:
             raise ValueError("tableau shape mismatch")
 
     @classmethod
+    def _unchecked(cls, n, mat, signs):
+        """Tableau from uint8 arrays of the right shapes, kept as given."""
+        t = cls.__new__(cls)
+        t.n, t.mat, t.signs = n, mat, signs
+        return t
+
+    @classmethod
     def identity(cls, n):
         return cls(n, np.eye(2 * n, dtype=np.uint8), np.zeros(2 * n, dtype=np.uint8))
 
@@ -104,15 +111,24 @@ def _conjugate_rows(mat, signs, name, qubits, n):
         raise ValueError(f"{name!r} is not a Clifford generator")
 
 
+def _draw_bits(g, count):
+    """The top bit of each byte of count uint32 words from g, low byte first,
+    as a uint8 array."""
+    words = g.integers(0, 2**32 - 1, size=count, dtype=np.uint32, endpoint=True)
+    return np.asarray(words, dtype="<u4").view(np.uint8) >> 7
+
+
 def random_clifford(n, rng):
     """Exactly uniform Clifford sample (symplectic pair construction + signs).
 
     Per round: v uniform over nonzero vectors of the residual space, w uniform
     over {w: <v,w> = 1}, then recurse on the symplectic complement of (v, w),
     re-paired by symplectic Gram-Schmidt. The round counts multiply to
-    |Sp(2n, 2)|, so the output is exactly uniform. Each vector is a Python
-    int of 2N bits, bit k holding tableau column k (x part low, z part
-    high), so the form is one popcount.
+    |Sp(2n, 2)|, so the output is exactly uniform (Koenig & Smolin, J. Math.
+    Phys. 55, 122202 (2014), arXiv:1406.2170). Each vector is a Python int of
+    2N bits, bit k holding tableau column k (x part low, z part high), so the
+    form <a, b> is the parity of a & swap(b), where swap exchanges the x and
+    z halves.
 
     The random bits of a draw come from one pooled call for uint32 words.
     A call `g.integers(0, 2, size=m, dtype=np.uint8)` returns the top bit of
@@ -124,81 +140,82 @@ def random_clifford(n, rng):
     words, and each retry draws just the ceil(m/4) words it adds, so every
     later draw from the stream is unchanged too. This rests on numpy's
     bounded-integer sampling, which the tests pin against per-vector calls.
+    The helpers of the construction (swap, projection, reading the pool) are
+    written out in the loop: a draw is a few dozen Python-level steps, and
+    each call saved is a measurable share of it.
     """
     if n < 1:
         raise ValueError("need n >= 1")
     g = rng.gen
     low = (1 << n) - 1
-
-    def swap(b):
-        """b with its x and z halves exchanged: <a, b> = parity(a & swap(b))."""
-        return (b >> n) | (b & low) << n
-
-    def project(vecs, a, b):
-        """The nonzero parts of vecs in the symplectic complement of (a, b)."""
-        sa, sb = swap(a), swap(b)
-        out = []
-        for u in vecs:
-            u ^= a if (u & sb).bit_count() & 1 else 0
-            u ^= b if (u & sa).bit_count() & 1 else 0
-            if u:
-                out.append(u)
-        return out
-
-    def draw_words(count):
-        """The top bit of each byte of count uint32 words, low byte first."""
-        words = g.integers(0, 2**32 - 1, size=count, dtype=np.uint32, endpoint=True)
-        return (np.asarray(words, dtype="<u4").view(np.uint8) >> 7).tolist()
-
-    bits = draw_words(sum(2 * ((m + 3) // 4) for m in range(2, 2 * n + 1, 2)) + (2 * n + 3) // 4)
-    pos = 0  # byte cursor into bits, always at a word boundary
-
-    def take(m):
-        """The m bits of one g.integers(0, 2, size=m, dtype=np.uint8) call."""
-        nonlocal pos
-        start, pos = pos, pos + 4 * ((m + 3) // 4)
-        return bits[start : start + m]
-
+    # words for c and t in rounds m = 2n, 2n - 2, ..., 2: sum of 2 ceil(m/4) = 2 floor((n+1)^2/4)
+    raw = _draw_bits(g, 2 * ((n + 1) ** 2 // 4) + (2 * n + 3) // 4)
+    bits = raw.tolist()
+    pos = 0  # index into bits, always at a word boundary
     basis = [1 << i for i in range(2 * n)]
     x_rows, z_rows = [], []
     while basis:
         m2 = len(basis)
-        c = take(m2)
-        while not any(c):
-            bits += draw_words((m2 + 3) // 4)
-            c = take(m2)
+        step = 4 * ((m2 + 3) // 4)  # the bits of ceil(m2/4) words
+        c = bits[pos : pos + m2]
+        pos += step
+        while 1 not in c:
+            raw = np.concatenate([raw, _draw_bits(g, step // 4)])
+            bits = raw.tolist()
+            c = bits[pos : pos + m2]
+            pos += step
         v = 0
         for u, cj in zip(basis, c):
             if cj:
                 v ^= u
-        sv = swap(v)
+        sv = (v >> n) | (v & low) << n
         f = [(u & sv).bit_count() & 1 for u in basis]
-        p = f.index(1)
-        # w uniform over {<v,w> = 1}: pivot + random kernel combination,
-        # kernel basis {basis_j + f_j basis_p : j != p}
-        w = basis[p]
-        for j, (u, tj) in enumerate(zip(basis, take(m2))):
-            if j != p and tj:
-                w ^= u ^ (basis[p] if f[j] else 0)
+        # w uniform over {<v,w> = 1}: pivot + random kernel combination, kernel
+        # basis {basis_j + f_j basis_p : j != p}; j = p adds basis_p + basis_p = 0
+        bp = basis[f.index(1)]
+        w = bp
+        for u, tj, fj in zip(basis, bits[pos : pos + m2], f):
+            if tj:
+                w ^= u ^ bp if fj else u
+        pos += step
         x_rows.append(v)
         z_rows.append(w)
-        # re-pair the complement of (v, w) by symplectic Gram-Schmidt; the form
-        # is nondegenerate there, so the first vector always pairs with a later one
-        cand = project(basis, v, w)
+        # re-pair the complement of (v, w) by symplectic Gram-Schmidt: project
+        # the rest onto the complement of the last pair (pa, pb) and drop the
+        # zeros; the first vector left, a, pairs with the first later one it
+        # meets, b (the form is nondegenerate there, so b exists), and the
+        # others, in order, are the rest of the next pass
+        pa, pb, rest = v, w, basis
         a_rows, b_rows = [], []
-        while cand:
-            s0 = swap(cand[0])
-            j = next(k for k, u in enumerate(cand) if (u & s0).bit_count() & 1)
-            a_rows.append(cand[0])
-            b_rows.append(cand[j])
-            cand = project(cand[1:j] + cand[j + 1:], cand[0], cand[j])
+        while True:
+            sa, sb = (pa >> n) | (pa & low) << n, (pb >> n) | (pb & low) << n
+            a = b = 0
+            cand = []
+            for u in rest:
+                if (u & sb).bit_count() & 1:
+                    u ^= pa
+                if (u & sa).bit_count() & 1:
+                    u ^= pb
+                if not u:
+                    continue
+                if not a:
+                    a, su = u, (u >> n) | (u & low) << n
+                elif not b and (u & su).bit_count() & 1:
+                    b = u
+                else:
+                    cand.append(u)
+            if not b:
+                break
+            a_rows.append(a)
+            b_rows.append(b)
+            pa, pb, rest = a, b, cand
         if len(a_rows) != m2 // 2 - 1:
             raise RuntimeError("symplectic complement extraction failed")
         basis = a_rows + b_rows
     # bit k of each row integer is tableau column k
     packed = b"".join(r.to_bytes((2 * n + 7) // 8, "little") for r in x_rows + z_rows)
     mat = np.unpackbits(np.frombuffer(packed, dtype=np.uint8).reshape(2 * n, -1), axis=1, count=2 * n, bitorder="little")
-    return CliffordTableau(n, mat, take(2 * n))
+    return CliffordTableau._unchecked(n, mat, raw[pos : pos + 2 * n])
 
 
 @functools.cache
@@ -260,7 +277,7 @@ def enumerate_clifford_group(n):
 
 @functools.cache
 def _dense_tables(n):
-    """Read-only tables of `tableaux_to_dense` for n qubits: the (2, 2n)
+    """Read-only tables of both dense bodies for n qubits: the (2, 2n)
     weights that turn tableau rows into x and z site masks, arange(2^n), the
     phase i^(2s + k) of an image with sign bit s and k Y sites, the parity
     sign (-1)^|m| of each mask m, and the identity blocks of the trial basis
@@ -298,8 +315,12 @@ def tableaux_to_dense(mat, signs, out):
     phase and parity tables and the identity trial blocks) is built once per
     n and cached (`_dense_tables`). Each gather reads the batch as one
     (B 2^n, L) stack through flat row indices, and the rows of out and of
-    the trial blocks are picked by integer index, so a batch of one costs
-    few numpy calls.
+    the trial blocks are picked by integer index.
+
+    This batch body serves `dense.dense_clifford_group`, which densifies the
+    11520 elements of the n = 2 group 512 at a time. Per-draw callers use
+    `tableau_to_dense`, the same steps without the batch bookkeeping; the two
+    give equal bytes for every tableau.
     """
     bsz, n = len(mat), mat.shape[1] // 2
     d = 1 << n
@@ -344,12 +365,48 @@ def tableaux_to_dense(mat, signs, out):
 
 def tableau_to_dense(t):
     """Dense unitary realizing the tableau, global phase fixed by making the
-    first nonzero entry of column 0 positive real: the one-tableau case of
-    tableaux_to_dense."""
-    if t.n > 12:
+    first nonzero entry of column 0 positive real.
+
+    The one-tableau body of `tableaux_to_dense`, for the callers that draw
+    and densify one tableau at a time (the Monte Carlo samplers): the same
+    cached tables and the same elementwise steps in the same order, with no
+    batch axis, so its bytes equal the batch body's for every tableau. It
+    gathers, sums and finds the first hit with the array methods take, sum
+    and argmax, which cost less per call than fancy indexing and the np.*
+    functions.
+    """
+    n = t.n
+    if n > 12:
         raise ValueError("dense conversion limited to N <= 12")
-    d = 1 << t.n
-    return tableaux_to_dense(t.mat[None], t.signs[None], np.empty((1, d, d), dtype=complex))[0]
+    d = 1 << n
+    weights, idx, phase_table, parity, blocks = _dense_tables(n)
+    xm, zm = weights @ t.mat.T  # (2n,) x and z masks of each image
+    phase = phase_table[t.signs, np.bitwise_count(xm & zm)]  # (2n, 1, 1)
+    src = idx ^ xm[:, None]  # (2n, d): image r maps entry i ^ x_r to i
+    sign = parity.take(src & zm[:, None], axis=0)  # (2n, d, 1)
+
+    def apply(r, vec):
+        """Generator image r on the columns vec (d, L)."""
+        return phase[r] * vec.reshape(d, -1).take(src[r], axis=0) * sign[r]
+
+    for block in blocks:
+        v = block
+        for i in range(n):
+            v = 0.5 * (v + apply(n + i, v))
+        nrm = np.sqrt((v.conj() * v).real.sum(axis=0))  # exact: dyadic entries
+        first = (nrm > 1e-8).argmax()
+        if nrm[first] > 1e-8:
+            break
+    else:
+        raise RuntimeError("failed to construct stabilizer state")
+    out = np.empty((d, d), dtype=complex)
+    out[:, 0] = v[:, first] / nrm[first]
+    for j in range(n):
+        low = 1 << (n - 1 - j)
+        out[:, low :: 2 * low] = apply(j, out[:, :: 2 * low])
+    pivot = out[(np.abs(out[:, 0]) > 1e-12).argmax(), 0]
+    np.multiply(out, np.abs(pivot) / pivot, out=out)
+    return out
 
 
 def tableau_from_circuit(gates, n):

@@ -15,7 +15,7 @@ def runner():
 def test_oracle_suite_passes(runner):
     result = runner.invoke(main, ["oracle-suite"])
     assert result.exit_code == 0, result.output
-    assert "all 11 oracle checks passed" in result.output
+    assert "all 12 oracle checks passed" in result.output
 
 
 def test_magic_scan_csv(runner, tmp_path):
@@ -271,3 +271,40 @@ def test_samples_outside_mc_is_machine_readable(runner, tmp_path, boundary):
     for payload in (flag, cfg):
         assert payload["error"] == "config_field"
         assert payload["field"] == "samples"
+
+
+_SMALL_RUNS = {
+    "magic-scan": ["magic-scan", "--n-list", "4", "--chi-list", "2"],
+    "brickwork": ["brickwork", "--n", "2", "--chi-list", "2", "--steps", "1", "--trajectories", "50"],
+    "design-audit": ["design-audit", "--n", "1", "--pairs", "2"],
+    "cooling": ["cooling", "--n-list", "2", "--vt-grid", "0", "--trajectories", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SMALL_RUNS))
+@pytest.mark.parametrize("where", ["missing_parent", "directory"])
+def test_bad_out_fails_before_any_work(runner, tmp_path, monkeypatch, command, where):
+    """An --out whose directory does not exist, or that is a directory, is
+    reported before the run draws its first random number."""
+    import cmpslab.cli
+
+    def no_work(seed):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cmpslab.cli, "Rng", no_work)
+    out = tmp_path / "missing" / "x.csv" if where == "missing_parent" else tmp_path
+    payload = _error_payload(runner.invoke(main, _SMALL_RUNS[command] + ["--out", str(out)]))
+    assert payload["error"] == "output"
+    assert payload["path"] == str(out)
+    assert payload["message"] == {"missing_parent": "parent directory does not exist", "directory": "is a directory"}[where]
+
+
+def test_failed_open_of_out_is_machine_readable(runner, tmp_path, monkeypatch):
+    """A path that passes the up-front check but cannot be opened when the
+    CSV is written gets the same diagnostic."""
+    import cmpslab.cli
+
+    monkeypatch.setattr(cmpslab.cli, "_check_out", lambda path: None)
+    out = tmp_path / "missing" / "x.csv"
+    payload = _error_payload(runner.invoke(main, _SMALL_RUNS["design-audit"] + ["--out", str(out)]))
+    assert payload == {"error": "output", "path": str(out), "message": "No such file or directory"}

@@ -322,3 +322,53 @@ def test_load_reports_truncated_body(tmp_path):
     body = 16 * sum(t.size for t in st.tensors)
     with pytest.raises(ValueError, match=f"expected {body} bytes.*found {body - 40}"):
         load_mps(path)
+
+
+def _write_mps(path, header, body=b""):
+    import json
+    import struct
+
+    blob = json.dumps(header).encode()
+    path.write_bytes(struct.pack("<Q", len(blob)) + blob + body)
+
+
+@pytest.mark.parametrize(
+    "header,match",
+    [
+        ({"format": "mps-v1", "bond_dims": [1, 1]}, "n must be an integer >= 1, found None"),
+        ({"format": "mps-v1", "n": 0, "bond_dims": [1]}, "n must be an integer >= 1, found 0"),
+        ({"format": "mps-v1", "n": 3, "bond_dims": [1, 2, 1]}, r"bond_dims must be 4 positive integers"),
+        ({"format": "mps-v1", "n": 2}, r"bond_dims must be 3 positive integers, found None"),
+        (["mps-v1", 2], "header is not a JSON object"),
+    ],
+    ids=["no_n", "n_zero", "short_bond_dims", "no_bond_dims", "list_header"],
+)
+def test_load_rejects_malformed_header(tmp_path, header, match):
+    path = tmp_path / "bad.mps"
+    _write_mps(path, header, b"\0" * 64)
+    with pytest.raises(ValueError, match=match) as err:
+        load_mps(path)
+    assert str(path) in str(err.value)
+
+
+def test_load_rejects_truncated_length_prefix(tmp_path):
+    path = tmp_path / "bad.mps"
+    path.write_bytes(b"\x10\0\0")
+    with pytest.raises(ValueError, match="expected an 8-byte header length, found 3 bytes") as err:
+        load_mps(path)
+    assert str(path) in str(err.value)
+
+
+def test_load_rejects_header_that_is_not_json(tmp_path):
+    import struct
+
+    path = tmp_path / "bad.mps"
+    path.write_bytes(struct.pack("<Q", 4) + b"\xff{}x")
+    with pytest.raises(ValueError, match="header is not UTF-8 JSON") as err:
+        load_mps(path)
+    assert str(path) in str(err.value)
+
+
+def test_empty_mps_is_a_value_error():
+    with pytest.raises(ValueError, match="at least one site"):
+        MpsState([])

@@ -338,16 +338,49 @@ def test_tableau_to_dense_matches_column_loop(n):
         assert tableau_to_dense(t).tobytes() == dense_by_columns(t).tobytes()
 
 
+def basis_state_tableau(n, b):
+    """The tableau of X^b, the Pauli X on every set bit of b (site 0 most
+    significant): the identity matrix with the Z signs of those sites set, so
+    column 0 is the basis vector b."""
+    signs = np.zeros(2 * n, dtype=np.uint8)
+    signs[n:] = [(b >> (n - 1 - q)) & 1 for q in range(n)]
+    return CliffordTableau(n, np.eye(2 * n, dtype=np.uint8), signs)
+
+
 def test_batch_matches_single_tableaux_across_trial_blocks():
-    """A batch whose column-0 states sit in different trial blocks gives each
-    tableau the bytes it gets alone."""
-    n, d = 5, 32
-    tabs = [random_clifford(n, Rng(31).child(i)) for i in range(24)]
-    singles = [tableau_to_dense(t) for t in tabs]
-    assert any(np.abs(u[:8, 0]).max() < 1e-12 for u in singles)  # missed by the first block of 8
-    out = np.empty((len(tabs), d, d), dtype=complex)
-    tableaux_to_dense(np.stack([t.mat for t in tabs]), np.stack([t.signs for t in tabs]), out)
+    """A batch whose column-0 states sit in different trial blocks (8, 16, 32,
+    ... basis vectors at a time) gives each tableau the bytes it gets alone:
+    random draws, some of which the first block misses, and basis states in
+    the second, third and last blocks."""
+    for n in (5, 6, 7):
+        d = 1 << n
+        tabs = [random_clifford(n, Rng(31).child(i)) for i in range(24)]
+        tabs += [basis_state_tableau(n, b) for b in (8, 24, d - 1)]
+        singles = [tableau_to_dense(t) for t in tabs]
+        first = [int(np.argmax(np.abs(u[:, 0]) > 1e-12)) for u in singles]
+        assert any(f >= 8 for f in first[:24])  # random draws missed by the first block
+        assert first[24:] == [8, 24, d - 1]
+        out = np.empty((len(tabs), d, d), dtype=complex)
+        tableaux_to_dense(np.stack([t.mat for t in tabs]), np.stack([t.signs for t in tabs]), out)
+        assert out.tobytes() == np.stack(singles).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_single_body_matches_batch_on_the_whole_group(n):
+    mat, signs, _ = enumerate_clifford_group(n)
+    out = np.empty((len(mat), 1 << n, 1 << n), dtype=complex)
+    tableaux_to_dense(mat, signs, out)
+    singles = [tableau_to_dense(CliffordTableau(n, m, s)) for m, s in zip(mat, signs)]
     assert out.tobytes() == np.stack(singles).tobytes()
+
+
+def test_tableau_that_never_projects_raises_in_both_bodies():
+    """Z_0 -> -I stabilizes nothing, so no trial vector projects."""
+    t = CliffordTableau(2, np.zeros((4, 4), np.uint8), [0, 0, 1, 0])
+    with pytest.raises(RuntimeError, match="failed to construct stabilizer state"):
+        tableau_to_dense(t)
+    with pytest.raises(RuntimeError, match="failed to construct stabilizer state"):
+        tableaux_to_dense(t.mat[None], t.signs[None], np.empty((1, 4, 4), dtype=complex))
 
 
 def test_dense_group_build_memory():
