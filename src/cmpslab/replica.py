@@ -18,9 +18,11 @@ solution y of G^3 y = G b gives G y = G^+ b, which is G^-1 b when q >= k and
 the Moore-Penrose pseudo-inverse (the Weingarten function at small
 dimension) when q < k. The solve, W and the transfer sectors run on integer
 numerators over one denominator, in object arrays, and become Fractions or
-doubles once, at the end. Full k! x k! matrices, needed for periodic spectra,
-gather exact class values over the class-label table of `sk_tables`; the
-open chain never builds it.
+doubles once, at the end; the per-class weight g enters last, on the one
+unweighted site sector. `_class_data` alone reads cycle types, and its class
+numbering is the one `sk_tables`, the weights and the sectors use. Full
+k! x k! matrices, needed for periodic spectra, gather exact class values over
+the class-label table of `sk_tables`; the open chain never builds it.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,56 +42,25 @@ from .mps import bond_dims
 
 # ---------------------------------------------------------------- S_k tables
 
-def _cycle_lengths(perm):
-    k = len(perm)
-    seen = [False] * k
-    out = []
-    for s in range(k):
-        if seen[s]:
-            continue
-        ln = 0
-        j = s
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            ln += 1
-        out.append(ln)
-    return tuple(sorted(out))
-
-
-@functools.cache
-def sk_tables(k):
-    """(perms, index, cycle_count_matrix, class_label_matrix) for S_k.
-
-    perms is in itertools order (identity first). class_label_matrix[i, j] is
-    the conjugacy class of perms[i]^-1 perms[j], numbered in sorted order of
-    cycle types (class 0 is the identity), and cycle_count_matrix[i, j] is its
-    number of cycles.
-    """
-    if k > 6:
-        raise ValueError("replica calculus supports k <= 6")
-    perms = list(itertools.permutations(range(k)))
-    index = {p: i for i, p in enumerate(perms)}
-    types = [_cycle_lengths(p) for p in perms]
-    classes = sorted(set(types))
-    arr = np.array(perms)
-    code = k ** np.arange(k)  # perm -> integer, for a lookup of its class
-    lut = np.empty(k**k, dtype=np.int8)
-    lut[arr @ code] = [classes.index(t) for t in types]
-    # row i composes perms[i]^-1 (one argsort row) and then every perms[j]
-    label = np.stack([lut[arr[:, row] @ code] for row in np.argsort(arr, axis=1)])
-    ncycles = np.array([len(t) for t in classes], dtype=np.int8)
-    return perms, index, ncycles[label], label
+class _Classes(NamedTuple):
+    perms: np.ndarray  # (k!, k), itertools order (identity first)
+    lut: np.ndarray  # class label of a permutation p, at index p @ k**arange(k)
+    reps: list  # first member of each class in itertools order, as tuples
+    sizes: np.ndarray
+    ncycles: np.ndarray  # cycles per class
+    even: np.ndarray  # every cycle of the class has even length
+    counts: np.ndarray  # counts[A, B, c]: beta in class B with c(rho_A^-1 beta) = c
 
 
 @functools.cache
 def _class_data(k):
-    """(representatives, sizes, counts) of the conjugacy classes of S_k.
+    """The conjugacy classes of S_k, from the one pass that reads cycle types.
 
-    Classes are numbered as in `sk_tables`; each representative is the first
-    member in itertools order. counts[A, B, c] is the number of beta in
-    class B with c(rho_A^-1 beta) = c, read from the p(k) rows rho_A^-1 beta
-    alone, so a class matrix is the integer polynomial sum_c counts[..., c] x^c.
+    This numbering is the source of every class label in the module: classes
+    come in sorted order of cycle types, so class 0 is the identity, and
+    `sk_tables` reads its labels from here. counts is read from the p(k)
+    rows rho_A^-1 beta alone, so a class matrix is the integer polynomial
+    sum_c counts[..., c] x^c.
     """
     if k > 6:
         raise ValueError("replica calculus supports k <= 6")
@@ -101,29 +73,72 @@ def _class_data(k):
     types, first, of, sizes = np.unique(
         np.sort(length, axis=1), axis=0, return_index=True, return_inverse=True, return_counts=True)
     of = of.reshape(-1)  # some numpy 2.x releases return it 2-D when axis is given
+    lut = np.empty(k**k, dtype=np.int8)
+    lut[perms @ k ** np.arange(k)] = of
     ncycles = np.rint(np.sum(1 / types, axis=1)).astype(int)  # each cycle has 1/length per point
-    # row A * k! + j is perms[j] composed with rho_A^-1, conjugate to
-    # rho_A^-1 perms[j]; read as base-k numbers, perms are in increasing order
-    rows = perms[:, np.argsort(perms[first], axis=1)].transpose(1, 0, 2).reshape(-1, k)
-    code = k ** np.arange(k - 1, -1, -1)
-    rank = np.searchsorted(perms @ code, rows @ code)
     p = len(types)
-    cell = (np.arange(p).repeat(len(perms)) * p + np.tile(of, p)) * (k + 1) + ncycles[of[rank]]
-    counts = np.bincount(cell, minlength=p * p * (k + 1)).reshape(p, p, k + 1)
-    return [tuple(rep) for rep in perms[first].tolist()], sizes, counts
+    cell = (np.arange(p)[:, None] * p + of) * (k + 1) + ncycles[_compose(perms, lut, perms[first])]
+    counts = np.bincount(cell.ravel(), minlength=p * p * (k + 1)).reshape(p, p, k + 1)
+    reps = [tuple(rep) for rep in perms[first].tolist()]
+    return _Classes(perms, lut, reps, sizes, ncycles, np.all(types % 2 == 0, axis=1), counts)
+
+
+def _compose(perms, lut, left):
+    """labels[i, j]: the class of left[i]^-1 perms[j], one row at a time.
+
+    perms[j] composed with left[i]^-1 (one argsort row) is conjugate to
+    left[i]^-1 perms[j], so it has the same class.
+    """
+    code = len(perms[0]) ** np.arange(len(perms[0]))
+    return np.stack([lut[perms[:, inv] @ code] for inv in np.argsort(left, axis=1)])
+
+
+@functools.cache
+def sk_tables(k):
+    """(perms, index, cycle_count_matrix, class_label_matrix) for S_k.
+
+    perms is in itertools order (identity first). class_label_matrix[i, j] is
+    the class of perms[i]^-1 perms[j], numbered as in `_class_data` (class 0
+    is the identity), and cycle_count_matrix[i, j] is its number of cycles.
+    """
+    if k > 6:
+        raise ValueError("replica calculus supports k <= 6")
+    data = _class_data(k)
+    perms = [tuple(p) for p in data.perms.tolist()]
+    label = _compose(data.perms, data.lut, data.perms)
+    return perms, {p: i for i, p in enumerate(perms)}, data.ncycles.astype(np.int8)[label], label
 
 
 def sk_classes(k):
     """(representatives, sizes) of the conjugacy classes of S_k, in label order.
 
     Read from the class data, which never builds the `sk_tables` tables."""
-    reps, sizes, _ = _class_data(k)
-    return reps, sizes
+    data = _class_data(k)
+    return data.reps, data.sizes
+
+
+def _weights(k, weight):
+    """Per-class physical-leg weight, as exact integers.
+
+    The chain produces d^n E[m_n], so each site carries the bare Pauli
+    cycle-trace sum sum_alpha prod_c tr(sigma_alpha^{|c|}), which is 2^c(sigma)
+    times 4 when every cycle of sigma is even; the standalone g(sigma) is
+    this times 2^-n, the per-site share of the d^-n in m_n. The identity
+    weight 2^c(sigma) keeps only the identity Pauli and turns the chain into
+    the norm average. Both are powers of two.
+    """
+    data = _class_data(k)
+    g = np.array([2**c for c in data.ncycles.tolist()], dtype=object)
+    if weight == "pauli":
+        return np.where(data.even, 4 * g, g)
+    if weight == "identity":
+        return g
+    raise ValueError(f"unknown weight {weight!r}")
 
 
 def _class_matrix(k, base):
     """Exact integer class matrix of base^{c(sigma^-1 beta)}."""
-    counts = _class_data(k)[2].astype(object)
+    counts = _class_data(k).counts.astype(object)
     return counts @ np.array([base**c for c in range(k + 1)], dtype=object)
 
 
@@ -207,49 +222,27 @@ def weingarten_matrix(k, q):
 
 # ------------------------------------------------------- transfer matrices
 
-def pauli_weight_g(perm, n):
-    """Physical-leg weight g(sigma) = 2^-n (2^c + 3 * 2^c [all cycles even])."""
-    lengths = _cycle_lengths(tuple(perm))
-    c = len(lengths)
-    even = all(ln % 2 == 0 for ln in lengths)
-    return 2.0 ** (c - n) * (4.0 if even else 1.0)
-
-
-def _weight_vector(k, n, weight):
-    """Per-class physical-leg weight used inside the transfer matrix.
-
-    The chain produces d^n E[m_n], so each site carries the bare Pauli
-    cycle-trace sum sum_alpha prod_c tr(sigma_alpha^{|c|}) = 2^n g(sigma);
-    the 2^-n of g's standalone definition is exactly the per-site share of
-    the d^-n in m_n. The identity weight 2^{c(sigma)} keeps only the
-    identity Pauli and turns the chain into the norm average. Both weights
-    are integers.
-    """
-    reps, _ = sk_classes(k)
-    if weight == "pauli":
-        return np.array([int(2**n * pauli_weight_g(rep, n)) for rep in reps], dtype=object)
-    if weight == "identity":
-        return np.array([2 ** len(_cycle_lengths(rep)) for rep in reps], dtype=object)
-    raise ValueError(f"unknown weight {weight!r}")
-
-
-def _transfer_integer(k, chi_in, chi_out, n, weight):
-    """(t, d): the site transfer class matrix diag(g) W(2 chi_out) M(chi_in) is t / d."""
+@functools.cache
+def _site_integer(k, chi_in, chi_out):
+    """(h, d): the unweighted site class matrix W(2 chi_out) M(chi_in) is h / d."""
     w, d = _weingarten_integer(k, 2 * chi_out)
-    return _lowest(_weight_vector(k, n, weight)[:, None] * (w @ _class_matrix(k, chi_in)), d)
+    return _lowest(w @ _class_matrix(k, chi_in), d)
 
 
 @functools.cache
 def transfer_sector(k, chi_in, chi_out, n, weight="pauli"):
     """Exact class matrix diag(g) W(2 chi_out) M(chi_in) of a site transfer
-    matrix, as read-only Fractions."""
-    return _fractions(*_transfer_integer(k, chi_in, chi_out, n, weight))
+    matrix, as read-only Fractions. `n` is accepted and ignored."""
+    h, d = _site_integer(k, chi_in, chi_out)
+    return _fractions(_weights(k, weight)[:, None] * h, d)
 
 
 @functools.cache
-def _sector_float(k, chi_in, chi_out, n, weight):
-    t, d = _transfer_integer(k, chi_in, chi_out, n, weight)
-    return (t / d).astype(float)  # int / int rounds correctly, as float(Fraction) does
+def _sector_float(k, chi_in, chi_out, weight):
+    h, d = _site_integer(k, chi_in, chi_out)
+    # int / int rounds correctly, as float(Fraction) does, and g is a power of
+    # two, so g * float(h / d) is the correctly rounded g h / d
+    return _weights(k, weight).astype(float)[:, None] * (h / d).astype(float)
 
 
 @dataclass
@@ -266,11 +259,12 @@ def transfer_matrix_site(k, chi_in, chi_out, n, weight="pauli"):
 
     chi_in = chi_out gives the site-independent bulk matrix. The sum over pi
     is a class function h(sigma^-1 beta), whose class values are column 0 of
-    the class sector with g divided out.
+    the unweighted class sector. `n` is accepted, stored and otherwise ignored.
     """
     _, _, _, label = sk_tables(k)
-    g = _weight_vector(k, n, weight).astype(float)
-    h = _sector_float(k, chi_in, chi_out, n, weight)[:, 0] / g
+    g = _weights(k, weight).astype(float)
+    h, d = _site_integer(k, chi_in, chi_out)
+    h = (h[:, 0] / d).astype(float)
     return TransferMatrix(k, n, chi_in, chi_out, g[label[0]][:, None] * h[label])
 
 
@@ -279,7 +273,7 @@ def transfer_spectrum(k, chi, n, weight="pauli"):
     """Bulk transfer-matrix eigenvalues, sorted by descending real part.
 
     Cached per argument tuple; the array is read-only because every caller
-    shares it.
+    shares it. `n` is accepted and ignored.
     """
     lam = np.linalg.eigvals(transfer_matrix_site(k, chi, chi, n, weight).matrix)
     lam = lam[np.lexsort((np.abs(lam.imag), -lam.real))]
@@ -288,13 +282,10 @@ def transfer_spectrum(k, chi, n, weight="pauli"):
 
 
 def pbc_trace(k, chi, n_sites, n=None, weight="pauli"):
-    """d^n E[m_n] for the periodic chain: sum of lambda^N over the spectrum."""
-    if n is None:
-        n = k // 2
-    return float(np.sum(transfer_spectrum(k, chi, n, weight) ** n_sites).real)
+    """d^n E[m_n] for the periodic chain: sum of lambda^N over the spectrum; `n` is ignored."""
+    return float(np.sum(transfer_spectrum(k, chi, k // 2, weight) ** n_sites).real)
 
 
-@functools.cache
 def leading_eigenvalue(k, chi, n, precise=False):
     """Largest bulk transfer-matrix eigenvalue, from the exact class sector.
 
@@ -305,11 +296,18 @@ def leading_eigenvalue(k, chi, n, precise=False):
     double-precision sector spectrum and stops once the step is within two
     units in the last place of x. With T = t / d and x = num / den, the
     step solves the integer system (den t - (den + num) d I) y = I and is
-    rounded to a double once. `precise` is accepted and ignored.
+    rounded to a double once. `n` and `precise` are accepted and ignored,
+    and the solve is cached per (k, chi).
     """
-    t, d = _transfer_integer(k, chi, chi, n, "pauli")
+    return _leading_eigenvalue(k, chi)
+
+
+@functools.cache
+def _leading_eigenvalue(k, chi):
+    h, d = _site_integer(k, chi, chi)
+    t = _weights(k, "pauli")[:, None] * h
     eye = np.eye(len(t), dtype=int).astype(object)
-    x = float(np.max(np.linalg.eigvals(_sector_float(k, chi, chi, n, "pauli")).real)) - 1.0
+    x = float(np.max(np.linalg.eigvals(_sector_float(k, chi, chi, "pauli")).real)) - 1.0
     for _ in range(50):
         num, den = x.as_integer_ratio()
         inv, det = _solve(den * t - (den + num) * d * eye, eye)
@@ -343,16 +341,14 @@ def obc_chain_value(k, chi_max, n_sites, n=None, weight="pauli"):
     (q_i = 2 chi_i, chi_in = chi_{i-1}) on the staircase bond profile;
     u is all-ones, e_id the unit vector on the identity permutation. Both
     are class functions, so the chain runs on the class sector, where u
-    becomes the vector of class sizes.
+    becomes the vector of class sizes. `n` is accepted and ignored.
     """
-    if n is None:
-        n = k // 2
     dims = bond_dims(n_sites, chi_max)
     _, sizes = sk_classes(k)
     v = np.zeros(len(sizes))
     v[0] = 1.0  # identity class
     for i in range(1, n_sites + 1):
-        v = _sector_float(k, dims[i - 1], dims[i], n, weight) @ v
+        v = _sector_float(k, dims[i - 1], dims[i], weight) @ v
     return float(sizes @ v)
 
 

@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +17,6 @@ from cmpslab.replica import (
     haar_magic_scaled,
     leading_eigenvalue,
     obc_chain_value,
-    pauli_weight_g,
     pbc_delta,
     pbc_trace,
     sk_classes,
@@ -53,10 +54,12 @@ def test_pseudo_inverse_satisfies_gwg():
 
 
 def test_pauli_weight_examples():
-    # S_4 permutations at Renyi index n=2: g = 2^(c-n) (4 if all even else 1)
-    assert pauli_weight_g((0, 1, 2, 3), 2) == pytest.approx(4.0)  # identity
-    assert pauli_weight_g((1, 0, 3, 2), 2) == pytest.approx(4.0)  # (01)(23)
-    assert pauli_weight_g((1, 2, 3, 0), 2) == pytest.approx(2.0)  # 4-cycle
+    # S_4 classes: the site weight is 2^n g = 2^c (4 if all cycles even else 1)
+    _, index, _, label = sk_tables(4)
+    weight = replica._weights(4, "pauli")
+    assert weight[label[0, index[(0, 1, 2, 3)]]] == 16  # identity
+    assert weight[label[0, index[(1, 0, 3, 2)]]] == 16  # (01)(23)
+    assert weight[label[0, index[(1, 2, 3, 0)]]] == 8  # 4-cycle
 
 
 @pytest.mark.parametrize("n_sites", [1, 4, 16, 64])
@@ -155,10 +158,13 @@ def test_fit_power_law_excludes_nonpositive():
 
 
 def test_k6_leading_eigenvalue_precise_path():
+    # `precise` and `n` are ignored: every call shares one exact solve per (k, chi)
+    replica._leading_eigenvalue.cache_clear()
     loose = leading_eigenvalue(6, 8, 3)
-    tight = leading_eigenvalue(6, 8, 3, precise=True)
-    assert tight - 1 > 0
-    assert loose == pytest.approx(tight, rel=1e-6)
+    assert leading_eigenvalue(6, 8, 3, precise=True) is loose
+    assert leading_eigenvalue(6, 8, 7) is loose
+    assert replica._leading_eigenvalue.cache_info().misses == 1
+    assert loose - 1 > 0
 
 
 @pytest.mark.parametrize("k", [4, 6])
@@ -238,25 +244,88 @@ def reference_solve(a, b):
     return x
 
 
+def cycle_lengths(perm):
+    k = len(perm)
+    seen = [False] * k
+    out = []
+    for s in range(k):
+        if seen[s]:
+            continue
+        ln = 0
+        j = s
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            ln += 1
+        out.append(ln)
+    return tuple(sorted(out))
+
+
+def inverse_times(a, b):
+    """a^-1 b as a tuple: x -> a^-1(b(x))."""
+    inv = [0] * len(a)
+    for i, v in enumerate(a):
+        inv[v] = i
+    return tuple(inv[v] for v in b)
+
+
+def reference_classes(k):
+    """(perms, types, of): S_k in itertools order, the cycle types in sorted
+    order, and the class of each permutation, all from pure-Python loops."""
+    perms = list(itertools.permutations(range(k)))
+    types = sorted({cycle_lengths(p) for p in perms})
+    return perms, types, [types.index(cycle_lengths(p)) for p in perms]
+
+
 def reference_class_matrix(k, base):
-    """Class matrix of base^{c(sigma^-1 beta)} summed over the full S_k tables."""
-    perms, index, ccount, label = sk_tables(k)
-    reps = [perms[label[0].tolist().index(a)] for a in range(int(label.max()) + 1)]
-    out = np.zeros((len(reps), len(reps)), dtype=object)
-    for a, rep in enumerate(reps):
-        for b, c in zip(label[0].tolist(), ccount[index[rep]].tolist()):
-            out[a, b] += base**c
+    """Class matrix of base^{c(sigma^-1 beta)}, composed on tuples."""
+    perms, types, of = reference_classes(k)
+    out = np.zeros((len(types), len(types)), dtype=object)
+    for a in range(len(types)):
+        rep = perms[of.index(a)]
+        for b, beta in zip(of, perms):
+            out[a, b] += base ** len(cycle_lengths(inverse_times(rep, beta)))
     return out
 
 
-@pytest.mark.parametrize("k", [2, 4, 6])
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 def test_class_data_matches_the_full_tables(k):
-    perms, _, _, label = sk_tables(k)
+    # the class data and the `sk_tables` rows against the pure-Python tables:
+    # every row for k <= 5, the class representatives and a sample at k = 6
+    perms, types, of = reference_classes(k)
     reps, sizes = sk_classes(k)
-    assert reps == [perms[label[0].tolist().index(a)] for a in range(len(reps))]
-    assert sizes.tolist() == np.bincount(label[0]).tolist()
+    assert reps == [perms[of.index(a)] for a in range(len(types))]
+    assert sizes.tolist() == [of.count(a) for a in range(len(types))]
+    assert replica._class_data(k).ncycles.tolist() == [len(t) for t in types]
+    assert replica._weights(k, "identity").tolist() == [2 ** len(t) for t in types]
+    pauli = [2 ** len(t) * (4 if all(ln % 2 == 0 for ln in t) else 1) for t in types]
+    assert replica._weights(k, "pauli").tolist() == pauli
     for q in (1, 2, 5, 16):
         assert np.array_equal(replica._class_matrix(k, q), reference_class_matrix(k, q))
+    table_perms, index, ccount, label = sk_tables(k)
+    assert table_perms == perms and index == {p: i for i, p in enumerate(perms)}
+    rows = range(len(perms))
+    if k == 6:
+        sample = np.random.default_rng(25).choice(len(perms), 40, replace=False).tolist()
+        rows = sorted({*(index[rep] for rep in reps), *sample})
+    for i in rows:
+        want = [of[index[inverse_times(perms[i], beta)]] for beta in perms]
+        assert label[i].tolist() == want
+        assert ccount[i].tolist() == [len(types[a]) for a in want]
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_class_sums_match_closed_forms(k):
+    # sum over S_k of x^{c(sigma)} is the rising factorial x (x+1) ... (x+k-1)
+    _, sizes = sk_classes(k)
+    ncycles = replica._class_data(k).ncycles
+    for x in (1, 2, 3, 7):
+        assert sum(int(s) * x ** int(c) for s, c in zip(sizes, ncycles)) == math.prod(range(x, x + k))
+    if k in (4, 6):
+        # the one-site chain: (k+1)! d^n E_Haar[m_n] at d = 2, which is 192 and 7200
+        total = int(sizes @ replica._weights(k, "pauli"))
+        assert total == {4: 192, 6: 7200}[k]
+        assert total == pytest.approx(math.factorial(k + 1) * haar_magic_scaled(2, k // 2), rel=1e-15)
 
 
 @pytest.mark.parametrize("k", [2, 4, 6])
@@ -291,6 +360,43 @@ PINNED_SECTORS = {
 def test_k6_sectors_and_lambda1_are_pinned(chi):
     sectors = [v for chi_in in (chi // 2, chi, 2 * chi) for v in transfer_sector(6, chi_in, chi, 3).flat]
     assert (_digest(sectors), _digest([leading_eigenvalue(6, chi, 3)])) == PINNED_SECTORS[chi]
+
+
+# sha256 of the float bytes below, recorded from the kernel that applied the
+# weight inside each integer sector and divided it back out of the site matrix
+PINNED_FLOATS = "0a8a9065244d717bdef37d50b3a9afd600cb6b516ae69148c108daa699e5b63a"
+
+
+def test_chain_and_site_floats_are_pinned():
+    h = hashlib.sha256()
+    for k in (4, 6):
+        for weight in ("pauli", "identity"):
+            for chi in (1, 2, 8, 64, 256):
+                for n_sites in (1, 8, 64, 512):
+                    h.update(np.float64(obc_chain_value(k, chi, n_sites, k // 2, weight)).tobytes())
+        for chi in (2, 16):
+            h.update(transfer_matrix_site(k, chi, chi, k // 2).matrix.tobytes())
+    assert h.hexdigest() == PINNED_FLOATS
+
+
+def test_renyi_index_is_accepted_and_ignored():
+    for k, n in ((4, 2), (6, 3)):
+        assert obc_chain_value(k, 8, 16, n) == obc_chain_value(k, 8, 16, 7)
+        assert np.array_equal(transfer_sector(k, 4, 8, n), transfer_sector(k, 4, 8, 7))
+        assert np.array_equal(transfer_spectrum(k, 4, n), transfer_spectrum(k, 4, 7))
+        assert leading_eigenvalue(k, 8, n) == leading_eigenvalue(k, 8, 7)
+
+
+@pytest.mark.parametrize("call", [
+    lambda w: obc_chain_value(4, 2, 4, 2, weight=w),
+    lambda w: transfer_sector(4, 2, 2, 2, weight=w),
+    lambda w: transfer_matrix_site(4, 2, 2, 2, weight=w),
+    lambda w: transfer_spectrum(4, 2, 2, weight=w),
+    lambda w: pbc_trace(4, 2, 3, 2, weight=w),
+])
+def test_unknown_weight_raises(call):
+    with pytest.raises(ValueError, match="unknown weight 'haar'"):
+        call("haar")
 
 
 def test_open_chain_never_builds_the_full_tables(monkeypatch):
