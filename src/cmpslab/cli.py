@@ -6,6 +6,12 @@ of the resolved config, and the seed, so identical config + seed reruns are
 byte-identical. Errors exit nonzero with a one-line JSON diagnostic on
 stderr. `brickwork` and `cooling` run their trajectories on --workers >= 1
 threads (default $CMPSLAB_WORKERS, else 1); results do not depend on the count.
+
+An experiment is a run function under `@experiment(name, fields, columns)`.
+Each `Field` is one flag, one config field and one key of the resolved config.
+The factory resolves and checks the fields, passes the resolved config, an
+`Rng` and (for `workers=True`) the thread count to the run function, and
+writes the (rows, comments) it returns as the CSV.
 """
 
 from __future__ import annotations
@@ -17,11 +23,13 @@ import json
 import math
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import click
 import numpy as np
 
 from . import __version__
+from .dense import MAX_DENSE_QUBITS, MAX_SRE_QUBITS
 from .kernels import Rng
 
 
@@ -29,15 +37,38 @@ def _load_config(path):
     if path is None:
         return {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
+        if isinstance(cfg, dict):
+            return cfg
+        detail = {"message": "top level must be an object"}
     except json.JSONDecodeError as exc:
-        raise click.ClickException(
-            json.dumps({"error": "config_parse", "file": path, "line": exc.lineno, "message": exc.msg})
-        )
-    if not isinstance(cfg, dict):
-        raise click.ClickException(json.dumps({"error": "config_parse", "file": path, "message": "top level must be an object"}))
-    return cfg
+        detail = {"line": exc.lineno, "message": exc.msg}
+    except (OSError, UnicodeDecodeError) as exc:
+        detail = {"message": str(exc)}
+    raise click.ClickException(json.dumps({"error": "config_parse", "file": path, **detail}))
+
+
+class Field(NamedTuple):
+    """One experiment parameter: the flag --<name, '-' for '_'>, else the
+    config field `name`, else `default`, checked by `_resolve` against `kind`
+    and `bounds`. A field with `when` is read, after the seed, only if
+    when(resolved) holds."""
+
+    name: str
+    kind: str | tuple
+    default: object
+    bounds: tuple | None = None
+    help: str | None = None
+    when: Callable | None = None
+
+
+_SEED = Field("seed", "int", 0, (0, math.inf), "Root seed.")
+_WORKERS = Field("workers", "int", 1, (1, math.inf), "Trajectory thread count, at least 1 (default $CMPSLAB_WORKERS or 1).")
+
+
+def _field_error(field, message):
+    return click.ClickException(json.dumps({"error": "config_field", "field": field, "message": message}))
 
 
 def _as_int(x):
@@ -48,52 +79,49 @@ def _as_int(x):
     return int(x)
 
 
-def _resolve(cfg, field, override, default, kind, bounds=None):
-    """Merge precedence: CLI flag > config field > default. kind validates:
+def _resolve(cfg, f, override):
+    """Merge precedence: CLI flag > config field > default. f.kind validates:
     "int", "int_list", "float_list", or a tuple of the allowed strings;
-    bounds = (lo, hi) also rejects any number outside [lo, hi]."""
-    val = override if override is not None else cfg.get(field, default)
+    f.bounds = (lo, hi) also rejects any number outside [lo, hi]. A flag
+    arrives as text and is parsed here."""
+    val = override if override is not None else cfg.get(f.name, f.default)
     try:
-        if kind == "int_list":
+        if f.kind in ("int_list", "float_list"):
+            item = _as_int if f.kind == "int_list" else float
             if isinstance(val, str):
-                val = [int(x) for x in val.split(",") if x.strip()]
-            val = [_as_int(x) for x in val]
+                val = [x for x in val.split(",") if x.strip()]
+            val = [item(x) for x in val]
             if not val:
                 raise ValueError("empty list")
-        elif kind == "float_list":
-            if isinstance(val, str):
-                val = [float(x) for x in val.split(",") if x.strip()]
-            val = [float(x) for x in val]
-            if not val:
-                raise ValueError("empty list")
-        elif kind == "int":
+        elif f.kind == "int":
             val = _as_int(val)
-        elif val not in kind:
-            raise ValueError(f"{val!r} is not one of {', '.join(kind)}")
-        if bounds is not None:
+        elif val not in f.kind:
+            raise ValueError(f"{val!r} is not one of {', '.join(f.kind)}")
+        if f.bounds is not None:
             for x in val if isinstance(val, list) else [val]:
-                if not bounds[0] <= x <= bounds[1]:
-                    raise ValueError(f"{x} is not in [{bounds[0]}, {bounds[1]}]")
+                if not f.bounds[0] <= x <= f.bounds[1]:
+                    raise ValueError(f"{x} is not in [{f.bounds[0]}, {f.bounds[1]}]")
+        if f.kind == "float_list":  # after the bounds, which already reject NaN
+            for x in val:
+                if not math.isfinite(x):
+                    raise ValueError(f"{x} is not finite")
     except (TypeError, ValueError) as exc:
-        raise click.ClickException(json.dumps({"error": "config_field", "field": field, "message": str(exc)}))
+        raise _field_error(f.name, str(exc))
     return val
 
 
-def _reject_unread(cfg, resolved, flags=()):
+def _reject_unread(cfg, resolved, flags):
     """Fail on the first config field or given flag, in sorted order, that
     the run does not read; `experiment` is the run's name, not a field."""
     unread = sorted((set(cfg) | set(flags)) - (set(resolved) - {"experiment"}))
     if unread:
-        raise click.ClickException(json.dumps(
-            {"error": "config_field", "field": unread[0], "message": f"not read by {resolved['experiment']} with this config"}))
+        raise _field_error(unread[0], f"not read by {resolved['experiment']} with this config")
 
 
 def _check_chis(chis):
     for c in chis:
         if c < 1 or (c & (c - 1)):
-            raise click.ClickException(
-                json.dumps({"error": "config_field", "field": "chi_list", "message": f"{c} is not a power of two"})
-            )
+            raise _field_error("chi_list", f"{c} is not a power of two")
 
 
 def _output_error(path, message):
@@ -111,18 +139,17 @@ def _check_out(path):
         raise _output_error(path, "parent directory does not exist")
 
 
-def _write_csv(out_path, fieldnames, rows, resolved, seed, extra_comments=()):
+def _write_csv(out_path, fieldnames, rows, resolved, extra_comments):
     digest = hashlib.sha256(json.dumps(resolved, sort_keys=True).encode()).hexdigest()
     buf = io.StringIO()
     buf.write(f"# cmpslab {__version__}\n")
     buf.write(f"# config_sha256 {digest}\n")
-    buf.write(f"# seed {seed}\n")
+    buf.write(f"# seed {resolved['seed']}\n")
     for line in extra_comments:
         buf.write(f"# {line}\n")
     writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     data = buf.getvalue()
     if out_path == "-":
         sys.stdout.write(data)
@@ -134,10 +161,6 @@ def _write_csv(out_path, fieldnames, rows, resolved, seed, extra_comments=()):
             raise _output_error(out_path, exc.strerror or str(exc))
 
 
-def _workers(flag):
-    return _resolve({}, "workers", flag, os.environ.get("CMPSLAB_WORKERS", 1), "int", (1, math.inf))
-
-
 @click.group()
 @click.version_option(__version__)
 def main():
@@ -147,66 +170,79 @@ def main():
 _common = [
     click.option("--config", "config_path", type=click.Path(exists=True), default=None, help="JSON config file."),
     click.option("--out", default="-", show_default=True, help="Output CSV path ('-' for stdout)."),
-    click.option("--seed", type=int, default=None, help="Root seed."),
 ]
-_workers_option = click.option(
-    "--workers", type=int, default=None, help="Trajectory thread count, at least 1 (default $CMPSLAB_WORKERS or 1)."
-)
 
 
-def common_options(fn):
-    for opt in reversed(_common):
-        fn = opt(fn)
-    return fn
+def _option(f):
+    # read as text, so that _resolve gives a bad integer the JSON diagnostic;
+    # the metavar keeps --help as it was
+    return click.option("--" + f.name.replace("_", "-"), f.name, default=None, help=f.help,
+                        metavar="INTEGER" if f.kind == "int" else None)
 
 
-@main.command("magic-scan")
-@common_options
-@click.option("--n-list", default=None, help="Comma-separated system sizes.")
-@click.option("--chi-list", default=None, help="Comma-separated bond dimensions (powers of two).")
-@click.option("--sre-list", default=None, help="Renyi indices, subset of 2,3.")
-@click.option("--boundary", default=None, help="obc or pbc.")
-@click.option("--method", default=None, help="analytic or mc.")
-@click.option("--samples", type=int, default=None, help="MC sample count (method=mc).")
-def magic_scan(config_path, out, seed, n_list, chi_list, sre_list, boundary, method, samples):
+def experiment(name, fields, columns, workers=False):
+    """Register `run(cfg, rng[, workers]) -> (rows, comments)`, cfg being the
+    resolved config, as the subcommand `name`. Its options are --config,
+    --out, --seed, --workers (if `workers`) and one flag per field."""
+    order = [f for f in fields if f.when is None] + [_SEED] + [f for f in fields if f.when is not None]
+
+    def register(run):
+        def command(config_path, out, **flags):
+            cfg = _load_config(config_path)
+            threads = []
+            if workers:
+                env_default = _WORKERS._replace(default=os.environ.get("CMPSLAB_WORKERS", _WORKERS.default))
+                threads.append(_resolve({}, env_default, flags["workers"]))
+            resolved = {"experiment": name}
+            for f in order:
+                if f.when is None or f.when(resolved):
+                    resolved[f.name] = _resolve(cfg, f, flags[f.name])
+            _reject_unread(cfg, resolved, [f.name for f in fields if flags[f.name] is not None])
+            _check_out(out)
+            if "chi_list" in resolved:
+                _check_chis(resolved["chi_list"])
+            rows, comments = run(resolved, Rng(resolved["seed"]), *threads)
+            _write_csv(out, columns, rows, resolved, comments)
+
+        options = _common + [_option(f) for f in [_SEED] + ([_WORKERS] if workers else []) + fields]
+        for opt in reversed(options):
+            command = opt(command)
+        return main.command(name, help=run.__doc__)(command)
+
+    return register
+
+
+@experiment("magic-scan", [
+    Field("n_list", "int_list", [8, 16], (1, math.inf), "Comma-separated system sizes."),
+    Field("chi_list", "int_list", [2, 4, 8, 16], None, "Comma-separated bond dimensions (powers of two)."),
+    Field("sre_list", "int_list", [2, 3], (2, 3), "Renyi indices, subset of 2,3."),
+    Field("boundary", ("obc", "pbc"), "obc", None, "obc or pbc."),
+    Field("method", ("analytic", "mc"), "analytic", None, "analytic or mc."),
+    # mc's standard error needs two samples; analytic and pbc read none
+    Field("samples", "int", 2000, (2, math.inf), "MC sample count (method=mc).", when=lambda r: r["method"] == "mc"),
+], ["n_sites", "chi", "n", "boundary", "method", "delta", "se"])
+def magic_scan(cfg, rng):
     """Magic deviation from Haar per (N, chi, n), with power-law fits per N."""
-    from .dense import MAX_SRE_QUBITS
     from .ensembles import magic_deviation_mc, rmps_sampler
     from .replica import delta_chi, fit_power_law, pbc_delta
 
-    cfg = _load_config(config_path)
-    ns = _resolve(cfg, "n_list", n_list, [8, 16], "int_list", (1, math.inf))
-    chis = _resolve(cfg, "chi_list", chi_list, [2, 4, 8, 16], "int_list")
-    sres = _resolve(cfg, "sre_list", sre_list, [2, 3], "int_list", (2, 3))
-    boundary = _resolve(cfg, "boundary", boundary, "obc", ("obc", "pbc"))
-    method = _resolve(cfg, "method", method, "analytic", ("analytic", "mc"))
-    seed = _resolve(cfg, "seed", seed, 0, "int", (0, math.inf))
-    resolved = {"experiment": "magic-scan", "n_list": ns, "chi_list": chis, "sre_list": sres,
-                "boundary": boundary, "method": method, "seed": seed}
-    if method == "mc":
-        # mc's standard error needs two samples; analytic and pbc read none
-        resolved["samples"] = samples = _resolve(cfg, "samples", samples, 2000, "int", (2, math.inf))
-    _reject_unread(cfg, resolved, ["samples"] if samples is not None else [])
-    _check_out(out)
-    _check_chis(chis)
+    boundary, method = cfg["boundary"], cfg["method"]
     if boundary == "pbc" and method == "mc":
-        raise click.ClickException(json.dumps({"error": "config_field", "field": "method", "message": "mc supports obc only"}))
-    if method == "mc" and max(ns) > MAX_SRE_QUBITS:
-        raise click.ClickException(json.dumps(
-            {"error": "config_field", "field": "n_list", "message": f"mc evaluates SREs densely, so N <= {MAX_SRE_QUBITS}"}))
-    rng = Rng(seed)
+        raise _field_error("method", "mc supports obc only")
+    if method == "mc" and max(cfg["n_list"]) > MAX_SRE_QUBITS:
+        raise _field_error("n_list", f"mc evaluates SREs densely, so N <= {MAX_SRE_QUBITS}")
     rows, fits = [], []
-    for big_n in ns:
-        for nn in sres:
+    for big_n in cfg["n_list"]:
+        for nn in cfg["sre_list"]:
             pts = []
-            for chi in chis:
+            for chi in cfg["chi_list"]:
                 if boundary == "pbc":
                     delta, se = pbc_delta(big_n, chi, nn), 0.0
                 elif method == "analytic":
                     delta, se = delta_chi(big_n, chi, nn).delta, ""
                 else:
                     # one child stream per CSV row, keyed by the row index
-                    est = magic_deviation_mc(rmps_sampler(big_n, chi), nn, samples, rng.child(len(rows)))
+                    est = magic_deviation_mc(rmps_sampler(big_n, chi), nn, cfg["samples"], rng.child(len(rows)))
                     delta, se = est.mean, est.std_error
                 pts.append((chi, delta))
                 rows.append({"n_sites": big_n, "chi": chi, "n": nn, "boundary": boundary,
@@ -216,49 +252,34 @@ def magic_scan(config_path, out, seed, n_list, chi_list, sre_list, boundary, met
                 fits.append(f"fit n_sites={big_n} n={nn} exponent={fit.exponent!r} coefficient={fit.coefficient!r}")
             except ValueError as exc:
                 fits.append(f"fit n_sites={big_n} n={nn} skipped: {exc}")
-    _write_csv(out, ["n_sites", "chi", "n", "boundary", "method", "delta", "se"],
-               rows, resolved, seed, extra_comments=fits)
+    return rows, fits
 
 
-@main.command("brickwork")
-@common_options
-@_workers_option
-@click.option("--n", "n_qubits", type=int, default=None)
-@click.option("--chi-list", default=None)
-@click.option("--steps", type=int, default=None)
-@click.option("--trajectories", type=int, default=None)
-def brickwork_cmd(config_path, out, seed, workers, n_qubits, chi_list, steps, trajectories):
+@experiment("brickwork", [
+    Field("n", "int", 8, (1, MAX_SRE_QUBITS)),
+    Field("chi_list", "int_list", [2, 4, 8, 16]),
+    Field("steps", "int", 24, (0, math.inf)),
+    Field("trajectories", "int", 100, (50, math.inf)),
+], ["t", "chi", "n", "delta", "se", "max_entropy"], workers=True)
+def brickwork_cmd(cfg, rng, workers):
     """Brickwork Haar circuit on a capped MPS: delta^(n)(t) and entropy curves."""
     from .brickwork import brickwork_scan
-    from .dense import MAX_SRE_QUBITS
 
-    cfg = _load_config(config_path)
-    workers = _workers(workers)
-    n_qubits = _resolve(cfg, "n", n_qubits, 8, "int", (1, MAX_SRE_QUBITS))
-    chis = _resolve(cfg, "chi_list", chi_list, [2, 4, 8, 16], "int_list")
-    steps = _resolve(cfg, "steps", steps, 24, "int", (0, math.inf))
-    trajectories = _resolve(cfg, "trajectories", trajectories, 100, "int", (50, math.inf))
-    seed = _resolve(cfg, "seed", seed, 0, "int", (0, math.inf))
-    resolved = {"experiment": "brickwork", "n": n_qubits, "chi_list": chis, "steps": steps,
-                "trajectories": trajectories, "seed": seed}
-    _reject_unread(cfg, resolved)
-    _check_out(out)
-    _check_chis(chis)
-    rows, plateaus = brickwork_scan(n_qubits, chis, steps, trajectories, Rng(seed), workers=workers)
+    rows, plateaus = brickwork_scan(cfg["n"], cfg["chi_list"], cfg["steps"], cfg["trajectories"], rng, workers=workers)
     comments = [
         "plateau chi={chi} delta2={delta2_plateau!r} se={delta2_se!r} "
         "delta3={delta3_plateau!r} entropy={entropy_plateau!r}".format(**p)
         for p in plateaus
     ]
-    _write_csv(out, ["t", "chi", "n", "delta", "se", "max_entropy"], rows, resolved, seed, comments)
+    return rows, comments
 
 
-@main.command("design-audit")
-@common_options
-@click.option("--n", "n_qubits", type=int, default=None)
-@click.option("--chi-list", default=None)
-@click.option("--pairs", type=int, default=None, help="MC overlap pairs per frame potential.")
-def design_audit(config_path, out, seed, n_qubits, chi_list, pairs):
+@experiment("design-audit", [
+    Field("n", "int", 2, (1, MAX_DENSE_QUBITS)),
+    Field("chi_list", "int_list", [1, 2]),
+    Field("pairs", "int", 2000, (2, math.inf), "MC overlap pairs per frame potential."),
+], ["ensemble", "k", "estimate", "se"])
+def design_audit(cfg, rng):
     """Frame potentials for STAB/Haar/CMPS ensembles plus Delta^(4) plug-ins."""
     from .ensembles import (
         cmps_sampler,
@@ -269,19 +290,9 @@ def design_audit(config_path, out, seed, n_qubits, chi_list, pairs):
         haar_sampler,
         stab_sampler,
     )
-    from .dense import MAX_DENSE_QUBITS
     from .replica import delta_chi
 
-    cfg = _load_config(config_path)
-    n_qubits = _resolve(cfg, "n", n_qubits, 2, "int", (1, MAX_DENSE_QUBITS))
-    chis = _resolve(cfg, "chi_list", chi_list, [1, 2], "int_list")
-    pairs = _resolve(cfg, "pairs", pairs, 2000, "int", (2, math.inf))
-    seed = _resolve(cfg, "seed", seed, 0, "int", (0, math.inf))
-    resolved = {"experiment": "design-audit", "n": n_qubits, "chi_list": chis, "pairs": pairs, "seed": seed}
-    _reject_unread(cfg, resolved)
-    _check_out(out)
-    _check_chis(chis)
-    rng = Rng(seed)
+    n_qubits, pairs = cfg["n"], cfg["pairs"]
     d = 1 << n_qubits
     rows = []
     for k in range(1, 5):
@@ -296,48 +307,34 @@ def design_audit(config_path, out, seed, n_qubits, chi_list, pairs):
             est = frame_potential_mc(stab_sampler(n_qubits), k, pairs, rng.child(10 + k))
             rows.append({"ensemble": "stab_mc", "k": k, "estimate": est.mean, "se": est.std_error})
     comments = []
-    for ci, chi in enumerate(chis):
+    for ci, chi in enumerate(cfg["chi_list"]):
         for k in range(1, 5):
             est = frame_potential_mc(cmps_sampler(n_qubits, chi), k, pairs, rng.child(100 * (ci + 1) + k))
             rows.append({"ensemble": f"cmps_chi{chi}", "k": k, "estimate": est.mean, "se": est.std_error})
         dchi = delta_chi(n_qubits, chi, 2).delta
         comments.append(f"delta4 chi={chi} value={design_distance_delta4(dchi, d)!r} from delta2={dchi!r}")
-    _write_csv(out, ["ensemble", "k", "estimate", "se"], rows, resolved, seed, comments)
+    return rows, comments
 
 
-@main.command("cooling")
-@common_options
-@_workers_option
-@click.option("--n-list", default=None)
-@click.option("--vt-grid", default=None, help="Comma-separated vt/N values.")
-@click.option("--trajectories", type=int, default=None)
-@click.option("--v", "velocity", type=int, default=None, help="Layers per T insertion.")
-def cooling_cmd(config_path, out, seed, workers, n_list, vt_grid, trajectories, velocity):
+@experiment("cooling", [
+    Field("n_list", "int_list", [8], (2, MAX_DENSE_QUBITS)),
+    Field("vt_grid", "float_list", [0.0, 0.5, 1.0, 2.0], (0.0, math.inf), "Comma-separated vt/N values."),
+    Field("trajectories", "int", 20, (2, math.inf)),
+    Field("v", "int", 1, (1, math.inf), "Layers per T insertion."),
+], ["n", "v", "t_count", "vt_over_n", "input_sn", "input_sn_se", "cooled_sn", "cooled_sn_se", "trajectories"],
+    workers=True)
+def cooling_cmd(cfg, rng, workers):
     """T-doped circuit states cooled by greedy two-qubit Clifford search."""
     from .cooling import cooling_scan
-    from .dense import MAX_DENSE_QUBITS
 
-    cfg = _load_config(config_path)
-    workers = _workers(workers)
-    ns = _resolve(cfg, "n_list", n_list, [8], "int_list", (2, MAX_DENSE_QUBITS))
-    grid = _resolve(cfg, "vt_grid", vt_grid, [0.0, 0.5, 1.0, 2.0], "float_list", (0.0, math.inf))
-    trajectories = _resolve(cfg, "trajectories", trajectories, 20, "int", (2, math.inf))
-    velocity = _resolve(cfg, "v", velocity, 1, "int", (1, math.inf))
-    seed = _resolve(cfg, "seed", seed, 0, "int", (0, math.inf))
-    resolved = {"experiment": "cooling", "n_list": ns, "vt_grid": grid,
-                "trajectories": trajectories, "v": velocity, "seed": seed}
-    _reject_unread(cfg, resolved)
-    _check_out(out)
-    rows = cooling_scan(ns, grid, trajectories, Rng(seed), v=velocity, workers=workers)
-    _write_csv(out, ["n", "v", "t_count", "vt_over_n", "input_sn", "input_sn_se",
-                     "cooled_sn", "cooled_sn_se", "trajectories"], rows, resolved, seed)
+    return cooling_scan(cfg["n_list"], cfg["vt_grid"], cfg["trajectories"], rng, v=cfg["v"], workers=workers), []
 
 
 @main.command("oracle-suite")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", default="0", show_default=True, metavar="INTEGER")
 def oracle_suite(seed):
     """Fast self-checks of every analytic pipeline against an independent oracle."""
-    rng = Rng(_resolve({}, "seed", seed, 0, "int", (0, math.inf)))
+    rng = Rng(_resolve({}, _SEED, seed))
     checks = []
 
     def check(name, fn):

@@ -75,6 +75,20 @@ def test_malformed_config_json(runner, tmp_path):
     assert "line" in payload
 
 
+@pytest.mark.parametrize("kind", ["directory", "not_utf8", "not_an_object"])
+def test_unreadable_config_is_machine_readable(runner, tmp_path, kind):
+    """A config that is a directory, is not UTF-8 or holds no JSON object
+    gets the one-line config_parse diagnostic naming the file."""
+    cfg = tmp_path if kind == "directory" else tmp_path / "cfg.json"
+    if kind == "not_utf8":
+        cfg.write_bytes(b"\xff\xfe{}")
+    elif kind == "not_an_object":
+        cfg.write_text("[1, 2]")
+    payload = _error_payload(runner.invoke(main, ["magic-scan", "--config", str(cfg), "--out", "-"]))
+    assert payload["error"] == "config_parse"
+    assert payload["file"] == str(cfg)
+
+
 def test_cooling_subcommand(runner, tmp_path):
     out = tmp_path / "cool.csv"
     result = runner.invoke(
@@ -168,6 +182,7 @@ def test_unknown_method_in_config_is_machine_readable(runner, tmp_path):
         ("design-audit", {"n": True, "chi_list": [1], "pairs": 2}, "n"),
         ("cooling", {"n_list": [4], "vt_grid": [0], "trajectories": 2.5}, "trajectories"),
         ("cooling", {"n_list": [4], "vt_grid": [0], "trajectories": 2, "v": True}, "v"),
+        ("cooling", {"n_list": [4], "vt_grid": [0, float("inf")], "trajectories": 2}, "vt_grid"),
     ],
     ids=lambda v: json.dumps(v) if isinstance(v, dict) else v,
 )
@@ -226,6 +241,13 @@ def test_mc_beyond_dense_limit_is_machine_readable(runner, tmp_path):
         (["brickwork", "--seed", "-1"], "seed"),
         (["design-audit", "--pairs", "2", "--seed", "-1"], "seed"),
         (["cooling", "--seed", "-1"], "seed"),
+        (["cooling", "--vt-grid", "inf"], "vt_grid"),
+        (["cooling", "--vt-grid", "0,nan"], "vt_grid"),
+        (["brickwork", "--steps", "abc"], "steps"),
+        (["magic-scan", "--seed", "x"], "seed"),
+        (["magic-scan", "--method", "mc", "--samples", "1.5"], "samples"),
+        (["design-audit", "--n", "2.0"], "n"),
+        (["cooling", "--workers", "two"], "workers"),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else v,
 )
@@ -237,6 +259,12 @@ def test_out_of_range_flag_is_machine_readable(runner, args, field):
 
 def test_negative_oracle_suite_seed_is_machine_readable(runner):
     payload = _error_payload(runner.invoke(main, ["oracle-suite", "--seed", "-1"]))
+    assert payload["error"] == "config_field"
+    assert payload["field"] == "seed"
+
+
+def test_non_integer_oracle_suite_seed_is_machine_readable(runner):
+    payload = _error_payload(runner.invoke(main, ["oracle-suite", "--seed", "x"]))
     assert payload["error"] == "config_field"
     assert payload["field"] == "seed"
 
@@ -279,6 +307,27 @@ _SMALL_RUNS = {
     "design-audit": ["design-audit", "--n", "1", "--pairs", "2"],
     "cooling": ["cooling", "--n-list", "2", "--vt-grid", "0", "--trajectories", "2"],
 }
+
+# sha256 of each _SMALL_RUNS CSV, recorded before the experiments were
+# declared as field tables.
+PINNED_SMALL_RUNS = {
+    "magic-scan": "5a874084bc458f4d08ec1a08eb71db3715100757ddc782a736870a2bc5e8b715",
+    "brickwork": "b14b35fb5d6248f77a5d1678b6c80eecdf238c4f5d73a3cd42ae6d516facd44b",
+    "design-audit": "8b003e77ee14c5e8f0801330c8ee9ce091bcb0c6d683a4d96978e1f66f7e43e7",
+    "cooling": "f363e5ad4cf32794831f439b7bb9190bf4e99909e23939ee78a99cbf0db49ac5",
+}
+
+
+def test_small_runs_cover_every_experiment():
+    assert set(_SMALL_RUNS) == set(main.commands) - {"oracle-suite"}
+
+
+@pytest.mark.parametrize("command", sorted(_SMALL_RUNS))
+def test_small_run_csv_pinned(runner, tmp_path, command):
+    out = tmp_path / "small.csv"
+    result = runner.invoke(main, _SMALL_RUNS[command] + ["--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_SMALL_RUNS[command]
 
 
 @pytest.mark.parametrize("command", sorted(_SMALL_RUNS))
